@@ -25,10 +25,18 @@ from .tasks import builtin_tasks
 from .warp import plan_to_dict, warp_trajectory
 
 
+def _read_json(path):
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+
+
 def _load_layout(path):
     if path is None:
         return default_layout()
-    return layout_from_dict(json.loads(Path(path).read_text()))
+    return layout_from_dict(_read_json(path))
 
 
 def cmd_gen_demos(args) -> int:
@@ -98,7 +106,7 @@ def _start_slots_for(task_id: str):
 def cmd_play(args) -> int:
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError("session config must be a JSON object")
     overrides = {

@@ -6,6 +6,13 @@ pose is the world-from-camera transform, stored as a unit quaternion in
 usual computer-vision convention: x right, y down, z forward along the
 optical axis. Pixel coordinates are real-valued (no integer snapping),
 origin at the top-left image corner, u right, v down.
+
+Projection and viewing rays run on Python floats, quaternion rotation
+works per component, and cross products are written out component by
+component in the order np.cross evaluates them (`a1*b2 - a2*b1`, ...).
+No floating-point operation or its order differs from the plain numpy
+formulas, so results are bit-identical to them; norms and dot products
+stay numpy calls for the same reason.
 """
 
 from __future__ import annotations
@@ -33,36 +40,34 @@ class DegenerateRays(ValueError):
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
+    # np.linalg.norm(q, axis=-1, keepdims=True) without its Python overhead
+    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    if (n < 1e-12).any():
         raise ValueError("cannot normalize zero quaternion")
     return q / n
 
 
-def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+def _rotate(w, x, y, z, a, b, c):
+    """v + w t + u x t with t = 2 (u x v), u = (x, y, z), v = (a, b, c).
+
+    Works on floats or on equally shaped arrays, one per component."""
+    t0 = 2.0 * (y * c - z * b)
+    t1 = 2.0 * (z * a - x * c)
+    t2 = 2.0 * (x * b - y * a)
+    return (a + w * t0 + (y * t2 - z * t1),
+            b + w * t1 + (z * t0 - x * t2),
+            c + w * t2 + (x * t1 - y * t0))
 
 
-def quat_multiply(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
+def _floats(v):
+    return v.tolist() if isinstance(v, np.ndarray) else [float(c) for c in v]
 
 
 def quat_rotate(q, v):
     """Rotate vector(s) v of shape (..., 3) by unit quaternion q."""
-    q = np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float).tolist()
     v = np.asarray(v, dtype=float)
-    u = q[1:4]
-    w = q[0]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
+    return np.stack(_rotate(*q, v[..., 0], v[..., 1], v[..., 2]), axis=-1)
 
 
 def quat_to_matrix(q):
@@ -103,7 +108,7 @@ def quat_slerp(q0, q1, t):
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     t = np.asarray(t, dtype=float)[..., None]
-    dot = np.sum(q0 * q1, axis=-1, keepdims=True)
+    dot = np.add.reduce(q0 * q1, axis=-1, keepdims=True)
     q1 = np.where(dot < 0, -q1, q1)
     dot = np.abs(np.clip(dot, -1.0, 1.0))
     theta = np.arccos(dot)
@@ -227,22 +232,24 @@ def project(camera: Camera, point) -> np.ndarray:
     that matters. Raises NonPositiveDepth for points on or behind the
     principal plane.
     """
-    p_cam = quat_rotate(quat_conjugate(camera.rotation),
-                        np.asarray(point, dtype=float) - camera.position)
-    z = p_cam[2]
+    px, py, pz = _floats(point)
+    cx, cy, cz = camera.position.tolist()
+    w, x, y, z = camera.rotation.tolist()
+    # rotate by the conjugate quaternion: camera-from-world
+    x, y, z = _rotate(w, -x, -y, -z, px - cx, py - cy, pz - cz)
     if z <= MIN_DEPTH:
         raise NonPositiveDepth(f"depth {z:.3e} m is not positive")
     k = camera.intrinsics
-    return np.array([k.cx + k.fx * p_cam[0] / z, k.cy + k.fy * p_cam[1] / z])
+    return np.array([k.cx + k.fx * x / z, k.cy + k.fy * y / z])
 
 
 def ray_through_pixel(camera: Camera, pixel) -> Ray:
     """World-frame viewing ray through a pixel, origin at the camera center."""
-    u, v = np.asarray(pixel, dtype=float)
+    u, v = _floats(pixel)
     k = camera.intrinsics
-    d_cam = np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0])
-    d_world = quat_rotate(camera.rotation, d_cam)
-    return Ray(origin=camera.position, direction=d_world)
+    d = np.array(_rotate(*camera.rotation.tolist(), (u - k.cx) / k.fx,
+                         (v - k.cy) / k.fy, 1.0))
+    return Ray(origin=camera.position, direction=d)
 
 
 def intersect_rays(a: Ray, b: Ray):
@@ -253,7 +260,10 @@ def intersect_rays(a: Ray, b: Ray):
     are parallel within PARALLEL_TOL.
     """
     d1, d2 = a.direction, b.direction
-    if np.linalg.norm(np.cross(d1, d2)) < PARALLEL_TOL:
+    x1, y1, z1 = d1.tolist()
+    x2, y2, z2 = d2.tolist()
+    if np.linalg.norm(np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                                x1 * y2 - y1 * x2])) < PARALLEL_TOL:
         raise DegenerateRays("rays are parallel within tolerance")
     w0 = a.origin - b.origin
     b12 = float(d1 @ d2)

@@ -444,20 +444,21 @@ class PlaySession:
 
         try:
             planned = self.planner.plan(pre_state, record["target_task"])
+            record["planned"] = planned
+            task_id = planned[0]
+            task = self.tasks.get(task_id)
+            if task is None:
+                raise NoPlan(f"planner proposed unknown task {task_id!r}")
+            # a (remote) planner's inexecutable step must not reach a demo's arm
+            if not task.precondition(pre_state):
+                raise NoPlan(f"planner proposed task {task_id!r}, whose "
+                             "precondition does not hold")
         except NoPlan as e:
             record["plan_error"] = str(e)
             self._intervene("no_plan", record)
             self._append_log(record)
             return record
-        record["planned"] = planned
-        task_id = planned[0]
-        if task_id not in self.tasks:
-            record["plan_error"] = f"planner proposed unknown task {task_id!r}"
-            self._intervene("no_plan", record)
-            self._append_log(record)
-            return record
         record["attempted_task"] = task_id
-        task = self.tasks[task_id]
 
         arms = self.arms[task_id]
         total = sum(a.pulls for a in arms.values())

@@ -407,39 +407,38 @@ def execute_plan(world: SimWorld, plan, grasp_radius: float = None) -> Execution
     Grasping happens at close transitions (nearest object within
     grasp_radius of the gripper's grasp point, or a logged miss), releasing
     at open transitions; objects inside a grasped container ride along.
-    Actions outside the workspace are clipped and counted.
+    Actions outside the workspace are clipped and counted. Between
+    transitions nothing but the carried objects moves, so they are placed
+    only at transition frames and at the last frame.
     """
     traj = getattr(plan, "trajectory", plan)
     radius = world.params.grasp_radius if grasp_radius is None else grasp_radius
     P, Q, G = traj.positions, traj.orientations, traj.gripper
-    lo = np.array(world.layout.workspace_min)
-    hi = np.array(world.layout.workspace_max)
-    executed = np.empty_like(P)
+    executed = np.clip(P, np.array(world.layout.workspace_min),
+                       np.array(world.layout.workspace_max))
+    oob = int(np.count_nonzero((executed != P).any(axis=1)))
+    toggles = (np.flatnonzero(G[1:] != G[:-1]) + 1).tolist()
+    if G[0] == 1 and not world.gripper_closed:
+        toggles.insert(0, 0)
+    last = len(traj) - 1
     events = []
-    oob = 0
 
-    for i in range(len(traj)):
-        p = np.clip(P[i], lo, hi)
-        if not np.array_equal(p, P[i]):
-            oob += 1
-        executed[i] = p
-        world.gripper_position = p.copy()
-        world.gripper_orientation = Q[i].copy()
+    for i in toggles if toggles[-1:] == [last] else toggles + [last]:
+        p = executed[i]
         if world.attached is not None:
             spec = world.layout.object_spec(world.attached)
             held = world.objects[world.attached]
             held.position = p - np.asarray(spec.grasp_offset)
             for rider, off in world._rider_offsets.items():
                 world.objects[rider].position = held.position + off
-        g = int(G[i])
-        toggled = (g != int(G[i - 1])) if i > 0 else (g == 1 and not world.gripper_closed)
-        if toggled:
-            if g == 1:
+        if i in toggles:
+            if G[i] == 1:
                 _close_gripper(world, p, radius, events, i)
             else:
                 _open_gripper(world, events, i)
-        world.gripper_closed = bool(g)
-
+    world.gripper_position = executed[last].copy()
+    world.gripper_orientation = Q[last].copy()
+    world.gripper_closed = bool(G[last])
     return ExecutionTrace(positions=executed, events=events, out_of_bounds=oob)
 
 
@@ -528,26 +527,54 @@ class CorrespondenceOracle:
 
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
-    outlier pixels are memoized as unresolvable.
+    outlier pixels are memoized as unresolvable. Registered annotations are
+    permanent, and so are memoized matches into a registered state. The
+    rest of the memo is bounded: it holds the matches into one unregistered
+    state (the current observation) and drops them when a match into
+    another unregistered state is memoized.
+
+    A query resolves to the annotation at exactly its pixel (registered
+    ones before memoized ones, then the earliest); failing that, to the
+    nearest one within ANNOTATION_PIXEL_TOL.
     """
 
     def __init__(self, config: OracleConfig = None):
         self.config = config or OracleConfig()
         self._annotations = {}   # (state_id, view) -> [(pixel, anchor|None, offset)]
+        self._registered = set()   # state ids with registered annotations
+        self._memo = {}          # state_id -> view -> {pixel: entry}
+        self._memo_state = None  # the one unregistered state in the memo
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
-        key = (state_id, view)
-        pixel = np.array(pixel, dtype=float)
-        offset = None if offset is None else np.array(offset, dtype=float)
-        self._annotations.setdefault(key, []).append((pixel, anchor, offset))
+        # map(float, ...) keeps the caller's float objects (a loaded
+        # library's sidecars) instead of allocating copies
+        pixel = tuple(map(float, pixel))
+        offset = None if offset is None else tuple(map(float, offset))
+        self._annotations.setdefault((state_id, view), []).append((pixel, anchor, offset))
+        self._registered.add(state_id)
+        if state_id == self._memo_state:
+            self._memo_state = None   # its memo is now kept for good
+
+    def _memoize(self, state_id, view, pixel, anchor, offset):
+        if state_id not in self._registered and state_id != self._memo_state:
+            self._memo.pop(self._memo_state, None)
+            self._memo_state = state_id
+        key = tuple(pixel.tolist())
+        self._memo.setdefault(state_id, {}).setdefault(view, {}).setdefault(
+            key, (key, anchor, offset))
 
     def _resolve(self, state_id, view, pixel):
-        entries = self._annotations.get((state_id, view))
-        if not entries:
-            return None
+        key = tuple(np.asarray(pixel, dtype=float).tolist())
+        registered = self._annotations.get((state_id, view), ())
+        for entry in registered:
+            if entry[0] == key:
+                return entry
+        memo = self._memo.get(state_id, {}).get(view, {})
+        if key in memo:
+            return memo[key]
         pixel = np.asarray(pixel, dtype=float)
         best, best_d = None, float("inf")
-        for entry in entries:
+        for entry in (*registered, *memo.values()):
             d = float(np.linalg.norm(entry[0] - pixel))
             if d < best_d:
                 best, best_d = entry, d
@@ -558,9 +585,9 @@ class CorrespondenceOracle:
     @staticmethod
     def _anchor_position(content: SemanticScene, anchor):
         if anchor in content.objects:
-            return np.array(content.objects[anchor].position)
+            return content.objects[anchor].position
         if anchor in content.anchors:
-            return np.array(content.anchors[anchor])
+            return content.anchors[anchor]
         return None   # anchor object removed from the scene
 
     def _query_rng(self, src_id, tgt_id, qv, tv, pixel):
@@ -580,7 +607,7 @@ class CorrespondenceOracle:
             return None
         camera = target.rig.camera(target_view)
         try:
-            pixel = project(camera, anchor_pos + offset)
+            pixel = project(camera, [a + o for a, o in zip(anchor_pos, offset)])
         except NonPositiveDepth:
             return None
 
@@ -592,13 +619,11 @@ class CorrespondenceOracle:
                 k = camera.intrinsics
                 junk = np.array([rng.uniform(0.0, k.width),
                                  rng.uniform(0.0, k.height)])
-                self.register_annotation(target.state_id, target_view, junk,
-                                         None, None)
+                self._memoize(target.state_id, target_view, junk, None, None)
                 return Match(pixel=junk, confidence=0.1)
             if cfg.pixel_noise_sigma > 0.0:
                 pixel = pixel + rng.normal(0.0, cfg.pixel_noise_sigma, 2)
-        self.register_annotation(target.state_id, target_view, pixel,
-                                 anchor, offset)
+        self._memoize(target.state_id, target_view, pixel, anchor, offset)
         return Match(pixel=pixel, confidence=0.9)
 
 

@@ -17,6 +17,7 @@ the source's normalized time-to-arc profile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .geometry import quat_slerp
 
 DEGENERATE_SEGMENT = 1e-6   # m, below this the alpha projection is ill-posed
 DEGENERATE_ARC = 1e-9       # m, below this a segment has no length to retime
+RESAMPLED = -1              # output sample interpolated, not copied
 
 
 class LengthMismatch(ValueError):
@@ -66,19 +68,62 @@ def segment_alphas(positions, seg_start, seg_end) -> np.ndarray:
     return (positions - seg_start) @ v / vv
 
 
+def _displace(positions, alphas, disp_start, disp_end):
+    """positions + (1 - alpha) d_start + alpha d_end, row by row."""
+    alphas = alphas[:, None]
+    return positions + ((1.0 - alphas) * disp_start + alphas * disp_end)
+
+
 def warp_segment(positions, seg_start, seg_end, disp_start, disp_end) -> np.ndarray:
     """Displace a segment's action positions by the alpha-blended endpoint
     displacements. Orientations and gripper bits are untouched by warping
     and are carried through by the caller."""
-    alphas = segment_alphas(positions, seg_start, seg_end)[:, None]
-    disp = (1.0 - alphas) * np.asarray(disp_start, dtype=float) \
-        + alphas * np.asarray(disp_end, dtype=float)
-    return np.asarray(positions, dtype=float) + disp
+    positions = np.asarray(positions, dtype=float)
+    return _displace(positions, segment_alphas(positions, seg_start, seg_end),
+                     np.asarray(disp_start, dtype=float), np.asarray(disp_end, dtype=float))
 
 
-def _cumulative_arc(positions):
-    steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])
+def _step_lengths(positions):
+    # np.linalg.norm(np.diff(positions, axis=0), axis=1), spelled out: the
+    # same operations without the Python-level overhead of the wrappers
+    d = positions[1:] - positions[:-1]
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
+def _arc(steps, out=None):
+    """Cumulative arc length, starting at 0, of consecutive step lengths."""
+    if out is None:
+        out = np.empty(len(steps) + 1)
+    out[0] = 0.0
+    np.cumsum(steps, out=out[1:])
+    return out
+
+
+def _retime_brackets(s_src, s_warp):
+    """Target arc length of every retimed sample and the warped sample
+    starting its bracket, or None when the segment keeps its timing."""
+    n = s_src.shape[0]
+    L, L_new = s_src[-1], s_warp[-1]
+    if n < 2 or L < DEGENERATE_ARC:
+        return None
+    steps = n - 1
+    new_steps = max(1, round(L_new / L * steps))
+    u_src = np.arange(n) / steps
+    u_new = np.arange(new_steps + 1) / new_steps
+    s_target = np.interp(u_new, u_src, s_src / L) * L_new
+    idx = np.minimum(np.maximum(s_warp.searchsorted(s_target, side="right") - 1, 0), n - 2)
+    return idx, s_target
+
+
+def _resample(arc, positions, quats, idx, s_target):
+    """Positions lerped and orientations slerped at arc lengths s_target,
+    each bracketed by samples idx and idx + 1 at arc lengths arc."""
+    span = arc[idx + 1] - arc[idx]
+    theta = np.where(span > DEGENERATE_ARC,
+                     (s_target - arc[idx]) / np.maximum(span, DEGENERATE_ARC), 0.0)
+    theta = np.clip(theta, 0.0, 1.0)
+    out_pos = positions[idx] * (1.0 - theta)[:, None] + positions[idx + 1] * theta[:, None]
+    return out_pos, quat_slerp(quats[idx], quats[idx + 1], theta)
 
 
 def retime_segment(source_positions, warped_positions, orientations):
@@ -94,30 +139,11 @@ def retime_segment(source_positions, warped_positions, orientations):
     src = np.asarray(source_positions, dtype=float)
     warped = np.asarray(warped_positions, dtype=float)
     quats = np.asarray(orientations, dtype=float)
-    n = src.shape[0]
-    if n < 2:
+    s_warp = _arc(_step_lengths(warped))
+    brackets = _retime_brackets(_arc(_step_lengths(src)), s_warp)
+    if brackets is None:
         return warped.copy(), quats.copy()
-
-    s_src = _cumulative_arc(src)
-    s_warp = _cumulative_arc(warped)
-    L, L_new = s_src[-1], s_warp[-1]
-    if L < DEGENERATE_ARC:
-        return warped.copy(), quats.copy()
-
-    steps = n - 1
-    new_steps = max(1, round(L_new / L * steps))
-    u_src = np.arange(n) / steps
-    profile = s_src / L
-    u_new = np.arange(new_steps + 1) / new_steps
-    s_target = np.interp(u_new, u_src, profile) * L_new
-
-    idx = np.clip(np.searchsorted(s_warp, s_target, side="right") - 1, 0, n - 2)
-    span = s_warp[idx + 1] - s_warp[idx]
-    theta = np.where(span > DEGENERATE_ARC, (s_target - s_warp[idx]) / np.maximum(span, DEGENERATE_ARC), 0.0)
-    theta = np.clip(theta, 0.0, 1.0)
-
-    out_pos = warped[idx] * (1.0 - theta)[:, None] + warped[idx + 1] * theta[:, None]
-    out_quat = quat_slerp(quats[idx], quats[idx + 1], theta)
+    out_pos, out_quat = _resample(s_warp, warped, quats, *brackets)
     out_pos[0], out_pos[-1] = warped[0], warped[-1]
     out_quat[0], out_quat[-1] = quats[0], quats[-1]
     return out_pos, out_quat
@@ -132,6 +158,11 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
     displacement. The tail (last waypoint to the end) is displaced rigidly
     by the final waypoint's displacement. Waypoint samples are pinned to the
     target waypoints verbatim.
+
+    All segments are warped and retimed in one pass over their stacked
+    samples: per segment only the alphas and the retimed sample brackets
+    are computed, so the result equals warp_segment then retime_segment on
+    each segment, value for value.
     """
     w_new = np.asarray(target_waypoints, dtype=float)
     W = demo.waypoints
@@ -155,27 +186,52 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
         segments.append((idx[-1], M - 1, W[-1], P[M - 1], disp[-1], disp[-1],
                          w_new[-1], None))
 
-    out_pos, out_quat, out_grip = [], [], []
-    boundaries = []
-    for a, b, w0, w1, d0, d1, pin0, pin1 in segments:
-        warped = warp_segment(P[a:b + 1], w0, w1, d0, d1)
+    # Segments stacked row by row; neighbours both hold their shared frame.
+    counts = [b - a + 1 for a, b, *_ in segments]
+    rows = np.concatenate([np.arange(a, b + 1) for a, b, *_ in segments])
+    warped = _displace(
+        P[rows],
+        np.concatenate([segment_alphas(P[a:b + 1], w0, w1) for a, b, w0, w1, *_ in segments]),
+        np.repeat([seg[4] for seg in segments], counts, axis=0),
+        np.repeat([seg[5] for seg in segments], counts, axis=0))
+    firsts = list(accumulate(counts[:-1], initial=0))   # stacked row of each segment start
+    for (*_, pin0, pin1), first, n in zip(segments, firsts, counts):
         if pin0 is not None:
-            warped[0] = pin0
+            warped[first] = pin0
         if pin1 is not None:
-            warped[-1] = pin1
-        pos, quat = retime_segment(P[a:b + 1], warped, Q[a:b + 1])
-        m = pos.shape[0]
-        grip = np.full(m, G[a])
-        grip[-1] = G[b]
-        start = 1 if out_pos else 0   # drop the duplicated boundary sample
-        out_pos.append(pos[start:])
-        out_quat.append(quat[start:])
-        out_grip.append(grip[start:])
-        if b in idx:
-            boundaries.append(sum(len(p) for p in out_pos) - 1)
+            warped[first + n - 1] = pin1
+    quats = Q[rows]
+    src_steps, warp_steps = _step_lengths(P), _step_lengths(warped)
+    arc = np.empty(len(rows))
 
-    plan = trajectory_from_parts(np.vstack(out_pos), np.vstack(out_quat),
-                                 np.concatenate(out_grip), traj.control_rate)
+    # stacked row copied into each output sample, RESAMPLED where it is lerped
+    take, lo, s_target, grip = [], [], [], []
+    boundaries = []
+    waypoint_frames = set(idx.tolist())
+    for k, ((a, b, *_), first, n) in enumerate(zip(segments, firsts, counts)):
+        last = first + n - 1
+        s_warp = _arc(warp_steps[first:last], out=arc[first:last + 1])
+        brackets = _retime_brackets(_arc(src_steps[a:b]), s_warp)
+        if brackets is None:
+            src = list(range(first, last + 1))
+        else:
+            # endpoints are pinned to the warped endpoints, the rest resampled
+            src = [first] + [RESAMPLED] * (len(brackets[0]) - 2) + [last]
+            lo.append(brackets[0][1:-1] + first)
+            s_target.append(brackets[1][1:-1])
+        keep = 1 if k else 0   # drop the duplicated boundary sample
+        take += src[keep:]
+        grip += ([G[a]] * (len(src) - 1) + [G[b]])[keep:]
+        if b in waypoint_frames:
+            boundaries.append(len(take) - 1)
+
+    take = np.array(take)
+    out_pos, out_quat = warped[take], quats[take]
+    if lo:
+        lerp = take == RESAMPLED
+        out_pos[lerp], out_quat[lerp] = _resample(arc, warped, quats, np.concatenate(lo),
+                                                  np.concatenate(s_target))
+    plan = trajectory_from_parts(out_pos, out_quat, grip, traj.control_rate)
     return WarpedPlan(trajectory=plan,
                       segment_boundaries=np.array(boundaries, dtype=int),
                       source_demo_id=demo.id, target_waypoints=w_new.copy())

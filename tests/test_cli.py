@@ -200,3 +200,11 @@ def test_coverage_hull_matches_independent_implementation(cli_library, tmp_path)
         pts = rng.uniform(0, 1, (int(rng.integers(3, 40)), 2))
         assert convex_hull_area(pts) == pytest.approx(
             hull_area_monotone_chain(pts), abs=1e-9)
+
+
+@pytest.mark.parametrize("flag", [["play", "--config"], ["gen-demos", "--layout"]])
+def test_malformed_json_exits_2_naming_the_file(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    assert main(flag + [str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert str(bad) in capsys.readouterr().err

@@ -79,6 +79,26 @@ def test_no_plan_triggers_intervention(library_dir, tmp_path):
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
+def test_inexecutable_first_step_is_no_plan_and_spares_the_arms(library_dir, tmp_path):
+    class WrongStepPlanner:
+        """Proposes a known task whose precondition fails in the state."""
+        def plan(self, state, target):
+            return [next(t.id for t in builtin_tasks()
+                         if not t.precondition(state))]
+
+    cfg = session_config(library_dir, tmp_path / "s", iterations=1)
+    (tmp_path / "s").mkdir()
+    session = PlaySession.start(cfg)
+    session.planner = WrongStepPlanner()
+    record = session.run_iteration()
+    assert record["intervention"] == "no_plan"
+    assert "precondition" in record["plan_error"]
+    assert record["attempted_task"] is None
+    assert not record["executed"]
+    assert all(a.pulls == 0 for arms in session.arms.values()
+               for a in arms.values())
+
+
 def test_stall_intervention_after_consecutive_failures(library_dir, tmp_path):
     cfg = session_config(library_dir, tmp_path / "s", outlier_rate=1.0,
                          iterations=7, max_consecutive_failures=3)

@@ -174,6 +174,63 @@ def test_oracle_outlier_confidence_flags(library):
     assert 0 <= m.pixel[0] <= k.width and 0 <= m.pixel[1] <= k.height
 
 
+def _anchor_scene(rig, **anchors):
+    from keywarp.demo import SceneSnapshot, SemanticScene
+    return SceneSnapshot(rig=rig, content=SemanticScene(objects={}, anchors=anchors))
+
+
+def test_oracle_duplicate_pixel_resolves_to_first_registration(layout):
+    scene = _anchor_scene(layout.rig, a=(0.3, 0.0, 0.0), b=(0.6, 0.2, 0.1))
+    oracle = CorrespondenceOracle()
+    for anchor in ("a", "b"):
+        oracle.register_annotation(scene.state_id, "left", [10.0, 20.0],
+                                   anchor, [0.0, 0.0, 0.0])
+    m = oracle.match(scene, scene, np.array([10.0, 20.0]), "left", "right")
+    assert np.array_equal(m.pixel, project(layout.rig.right, [0.3, 0.0, 0.0]))
+
+
+def test_oracle_lookup_tolerance_is_1e6_px(layout):
+    scene = _anchor_scene(layout.rig, a=(0.3, 0.0, 0.0))
+    oracle = CorrespondenceOracle()
+    oracle.register_annotation(scene.state_id, "left", [10.0, 20.0], "a",
+                               [0.0, 0.0, 0.0])
+    assert oracle.match(scene, scene, [10.0 + 5e-7, 20.0], "left", "right") is not None
+    assert oracle.match(scene, scene, [10.0, 20.0 - 5e-7], "left", "right") is not None
+    assert oracle.match(scene, scene, [10.0 + 2e-6, 20.0], "left", "right") is None
+
+
+def _moved(layout, snap, delta):
+    world = world_from_snapshot(layout, snap)
+    for state in world.objects.values():
+        state.position = state.position + delta
+    return snapshot(world)
+
+
+def test_oracle_memo_keeps_only_the_latest_observation(library, clean_oracle, layout):
+    demo = library.demos[library.by_task["pineapple_table_to_bowl"][0]]
+    n_annotations = sum(map(len, clean_oracle._annotations.values()))
+    for i in range(50):
+        target = _moved(layout, demo.snapshot, np.array([0.002 * (i + 1), 0.0, 0.0]))
+        assert match_demo(clean_oracle, demo, target, FilterConfig(),
+                          library.demo_side_distances[demo.id]).feasible
+    assert list(clean_oracle._memo) == [target.state_id]
+    assert sum(map(len, clean_oracle._annotations.values())) == n_annotations
+
+
+def test_oracle_live_demo_side_queries_keep_the_observation_memo(
+        library, clean_oracle, layout):
+    """Cross-view queries into the (registered) demo scene sit between the
+    observation's matches and its own cross-view queries; they must not
+    evict the observation's memo."""
+    demo = library.demos[library.by_task["pineapple_table_to_bowl"][0]]
+    for i in range(3):
+        target = _moved(layout, demo.snapshot, np.array([0.0, 0.01 * (i + 1), 0.0]))
+        outcome = match_demo(clean_oracle, demo, target, demo_side_distances=None)
+        assert outcome.feasible
+        assert np.max(outcome.cross_view_gaps) < 1e-6
+    assert set(clean_oracle._memo) == {demo.snapshot.state_id, target.state_id}
+
+
 def test_oracle_deterministic_per_query(library):
     a = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
     b = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
