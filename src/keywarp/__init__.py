@@ -8,9 +8,9 @@ selection, receding-horizon planning, success-filtered dataset export),
 grounded end to end in a kinematic tabletop simulator.
 """
 
-from .bandit import ArmStats, BanditConfig, UnknownDemo, sample_target_task, select_top_k, softmax_probabilities, ucb_index, update_stats
+from .bandit import ArmStats, UnknownDemo, sample_target_task, select_top_k, softmax_probabilities, ucb_index, update_stats
 from .correspondence import AllInfeasible, FilterConfig, Match, MatchOutcome, MatcherInterface, cross_view_distance, match_demo, select_source_demo
-from .demo import (DemoSummary, ImageScene, NoWaypoints, ObjectState,
+from .demo import (ConfigError, DemoSummary, ImageScene, NoWaypoints, ObjectState,
                    SceneSnapshot, SchemaError, SemanticScene, Trajectory,
                    decode_summary, encode_summary, extract_waypoints,
                    load_demo_summaries, save_demo_library, summarize_demo,
@@ -25,7 +25,7 @@ from .play import (EvaluatorInterface, NoPlan, PlannerInterface, PlaySession,
                    export_success_dataset, read_session_log, resume_session,
                    rule_based_plan, run_session, verify_by_correspondence,
                    write_report_files)
-from .sim import (ConfigError, CorrespondenceOracle, DemoLibrary, Layout,
+from .sim import (CorrespondenceOracle, DemoLibrary, Layout,
                   OracleConfig, PreconditionUnsatisfiable, SimWorld, SlotRegion,
                   WorldParams, default_layout, execute_plan,
                   generate_demo_library, generate_seed_demos, layout_from_dict,
@@ -33,6 +33,6 @@ from .sim import (ConfigError, CorrespondenceOracle, DemoLibrary, Layout,
                   snapshot, spawn_world, symbolic_state)
 from .tasks import SymbolicState, TaskSpec, builtin_tasks, task_map
 from .warp import (LengthMismatch, WarpedPlan, plan_to_dict, retime_segment,
-                   segment_alphas, spatial_alpha, warp_segment, warp_trajectory)
+                   segment_alphas, warp_segment, warp_trajectory)
 
 __version__ = "0.1.0"

@@ -26,22 +26,6 @@ class ArmStats:
             raise ValueError("successes must lie in [0, pulls]")
 
 
-@dataclass(frozen=True)
-class BanditConfig:
-    k: int = 3                 # demo subsample size
-    c: float = 1.0             # exploration coefficient
-    temperature: float = 1.0   # softmax temperature for task targeting
-    seed: int = 0              # for the caller's sampling generator
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.c < 0:
-            raise ValueError("c must be non-negative")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-
-
 def softmax_probabilities(counts, temperature=1.0):
     """P(i) proportional to exp(-counts[i] / temperature), max-stabilized."""
     logits = [-c / temperature for c in counts]

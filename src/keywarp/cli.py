@@ -1,9 +1,12 @@
 """Command-line entry points: gen-demos, warp, play, report, export.
 
-Exit codes: 0 success, 2 configuration error, 3 no feasible demo match,
-4 I/O error. All outputs land under --out; every subcommand is
-deterministic for a fixed seed (the report's generated_at header is the
-single timestamp anywhere).
+Exit codes: 0 success; 2 configuration error, including an out-of-range
+flag or config value, gen-demos --n below 1, a config, layout, library
+index or sidecar file that is not valid JSON, and a sidecar whose final
+scene is missing or malformed; 3 no feasible demo match; 4 I/O error,
+including a truncated checkpoint given to --resume. All outputs land
+under --out; every subcommand is deterministic for a fixed seed (the
+report's generated_at header is the single timestamp anywhere).
 """
 
 from __future__ import annotations
@@ -14,32 +17,25 @@ import sys
 from pathlib import Path
 
 from .correspondence import AllInfeasible, FilterConfig, match_demo, select_source_demo
-from .demo import SchemaError
+from .demo import ConfigError, SchemaError, read_json, save_demo_library
 from .play import (SessionConfig, export_success_dataset, read_session_log,
                    resume_session, run_session, write_report_files)
-from .sim import (ConfigError, CorrespondenceOracle, DemoLibrary, OracleConfig,
+from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
                   default_layout, generate_demo_library, layout_from_dict,
                   snapshot, spawn_world)
-from .demo import save_demo_library
 from .tasks import builtin_tasks
 from .warp import plan_to_dict, warp_trajectory
-
-
-def _read_json(path):
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
 
 
 def _load_layout(path):
     if path is None:
         return default_layout()
-    return layout_from_dict(_read_json(path))
+    return layout_from_dict(read_json(path))
 
 
 def cmd_gen_demos(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     layout = _load_layout(args.layout)
     tasks = builtin_tasks()
     if args.tasks:
@@ -106,7 +102,7 @@ def _start_slots_for(task_id: str):
 def cmd_play(args) -> int:
     doc = {}
     if args.config:
-        doc = _read_json(args.config)
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError("session config must be a JSON object")
     overrides = {
@@ -140,9 +136,7 @@ def cmd_report(args) -> int:
         raise FileNotFoundError(f"no session log at {log_path}")
     records = read_session_log(log_path)
     library = DemoLibrary.load(args.demos) if args.demos else None
-    interventions = [r for r in records if r.get("intervention")]
-    write_report_files(args.out, records, library=library,
-                       interventions=interventions)
+    write_report_files(args.out, records, library=library)
     print(f"report for {len(records)} iterations written to {args.out}")
     return 0
 

@@ -13,12 +13,12 @@ becomes the warp source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 import numpy as np
 
-from .demo import DemoSummary, SceneSnapshot
+from .demo import ConfigError, DemoSummary, SceneSnapshot
 from .geometry import DegenerateRays, point_ray_distance, ray_through_pixel, triangulate
 
 
@@ -51,8 +51,9 @@ class FilterConfig:
     gap_max: float = 0.10        # m, cross-view consistency gate
 
     def __post_init__(self):
-        if not (self.residual_max > 0 and self.gap_max > 0):
-            raise ValueError("filter thresholds must be positive")
+        for name in ("residual_max", "gap_max"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass
@@ -64,7 +65,6 @@ class MatchOutcome:
     cross_view_gaps: np.ndarray       # (T,) worst |d_demo - d_obs| per waypoint
     feasible: bool
     score: float                      # ||W - W_target||_2 stacked, inf if infeasible
-    confidences: dict = field(default_factory=dict)   # diagnostics only
 
 
 _OTHER_VIEW = {"left": "right", "right": "left"}
@@ -99,7 +99,6 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     """
     T = demo.num_waypoints
     kp_out = {v: np.full((T, 2), np.nan) for v in ("left", "right")}
-    conf = {v: np.full(T, np.nan) for v in ("left", "right")}
     w_out = np.full((T, 3), np.nan)
     residuals = np.full(T, np.inf)
     gaps = np.full(T, np.inf)
@@ -112,7 +111,6 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
             if m is not None:
                 matched[view] = m
                 kp_out[view][t] = m.pixel
-                conf[view][t] = m.confidence
         if len(matched) < 2:
             feasible = False
             continue
@@ -145,8 +143,7 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     return MatchOutcome(demo_id=demo.id, target_keypoints=kp_out,
                         target_waypoints=w_out,
                         triangulation_residuals=residuals,
-                        cross_view_gaps=gaps, feasible=feasible, score=score,
-                        confidences=conf)
+                        cross_view_gaps=gaps, feasible=feasible, score=score)
 
 
 def select_source_demo(outcomes) -> str:

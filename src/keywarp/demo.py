@@ -28,7 +28,11 @@ class NoWaypoints(ValueError):
 
 
 class SchemaError(ValueError):
-    """Malformed serialized summary; message carries the field path."""
+    """Malformed serialized summary or sidecar; message carries the field path."""
+
+
+class ConfigError(ValueError):
+    """Inconsistent layout, session configuration or library file."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,11 +460,20 @@ def save_demo_library(directory, summaries, sidecars=None):
     (directory / INDEX_FILE).write_text(json.dumps(index, sort_keys=True, indent=2))
 
 
+def read_json(path):
+    """The JSON document in a file; ConfigError naming the file if it is not JSON."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+
+
 def load_demo_index(directory) -> dict:
     path = Path(directory) / INDEX_FILE
     if not path.exists():
         raise FileNotFoundError(f"no demo index at {path}")
-    return json.loads(path.read_text())
+    return read_json(path)
 
 
 def load_demo_summaries(directory):

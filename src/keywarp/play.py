@@ -17,21 +17,20 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Optional, Protocol, get_args, get_type_hints
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .bandit import ArmStats, sample_target_task, select_top_k, update_stats
 from .correspondence import AllInfeasible, FilterConfig, MatcherInterface, match_demo, select_source_demo
-from .demo import DemoSummary, SceneSnapshot
+from .demo import ConfigError, DemoSummary, SceneSnapshot
 from .geometry import point_ray_distance, ray_through_pixel
-from .sim import (ConfigError, CorrespondenceOracle, DemoLibrary, Layout,
-                  OracleConfig, SimWorld, WorldParams, default_layout,
-                  execute_plan, layout_from_dict, randomize_world, snapshot,
-                  spawn_world, symbolic_state)
+from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig, SimWorld,
+                  WorldParams, default_layout, execute_plan, layout_from_dict,
+                  randomize_world, snapshot, spawn_world, symbolic_state)
 from .tasks import SymbolicState, TaskSpec, builtin_tasks, task_map
 from .warp import warp_trajectory
 
@@ -217,19 +216,6 @@ class SessionConfig:
     remote_timeout_s: float = 10.0
     out_dir: str = ""
 
-    _FIELD_TYPES = {
-        "demo_library": str, "layout": (dict, type(None)), "iterations": int,
-        "seed": int, "k": int, "c": (int, float), "temperature": (int, float),
-        "residual_max": (int, float), "gap_max": (int, float),
-        "pixel_noise_sigma": (int, float), "outlier_rate": (int, float),
-        "p_tip": (int, float), "settle_jitter": (int, float),
-        "explore_sigma": (int, float), "grasp_radius": (int, float),
-        "verification_enabled": bool, "verification_threshold": (int, float),
-        "max_consecutive_failures": int, "checkpoint_every": int,
-        "planner_url": (str, type(None)), "evaluator_url": (str, type(None)),
-        "remote_timeout_s": (int, float), "out_dir": str,
-    }
-
     def __post_init__(self):
         if self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
@@ -237,34 +223,37 @@ class SessionConfig:
             raise ConfigError("k must be at least 1")
         if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
-        for name in ("c", "pixel_noise_sigma", "settle_jitter", "explore_sigma"):
+        for name in ("c", "settle_jitter", "explore_sigma"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 <= self.outlier_rate <= 1.0:
-            raise ConfigError("outlier_rate must be a probability")
         if not 0.0 <= self.p_tip <= 1.0:
             raise ConfigError("p_tip must be a probability")
-        for name in ("residual_max", "gap_max", "grasp_radius",
-                     "verification_threshold", "remote_timeout_s"):
+        for name in ("grasp_radius", "verification_threshold", "remote_timeout_s"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.max_consecutive_failures < 1:
             raise ConfigError("max_consecutive_failures must be at least 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be at least 1")
+        # the filter and oracle configs check their own fields' ranges
+        self.filters = FilterConfig(residual_max=self.residual_max, gap_max=self.gap_max)
+        self.oracle = OracleConfig(pixel_noise_sigma=self.pixel_noise_sigma,
+                                   outlier_rate=self.outlier_rate, seed=self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
+        """Config from a JSON object; each value must have its field's type,
+        where a float field also takes an int and no number field takes a bool."""
         if not isinstance(doc, dict):
             raise ConfigError("session config must be a JSON object")
-        unknown = set(doc) - set(cls._FIELD_TYPES)
+        hints = get_type_hints(cls)
+        types = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
-            expected = cls._FIELD_TYPES[key]
-            if isinstance(value, bool) and expected is not bool:
-                raise ConfigError(f"config key {key!r} has the wrong type")
-            if not isinstance(value, expected):
+            allowed = types[key] + ((int,) if float in types[key] else ())
+            if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
                 raise ConfigError(f"config key {key!r} has the wrong type")
         return cls(**doc)
 
@@ -286,81 +275,59 @@ def _checkpoint_path(out_dir: Path, iteration: int) -> Path:
 class PlaySession:
     """One reset-free play session over a demo library in a simulated world."""
 
-    def __init__(self, cfg: SessionConfig, layout: Layout, library: DemoLibrary,
-                 tasks, matcher, planner, evaluator, world: SimWorld,
-                 rng: np.random.Generator, out_dir):
+    # -- construction ------------------------------------------------------
+
+    def __init__(self, cfg: SessionConfig):
+        """The session at iteration 0: library loaded and registered with the
+        oracle, world spawned from the seed, output directories made."""
         self.cfg = cfg
-        self.layout = layout
-        self.library = library
+        self.layout = layout_from_dict(cfg.layout) if cfg.layout else default_layout()
+        try:
+            self.library = DemoLibrary.load(cfg.demo_library)
+        except FileNotFoundError as e:
+            raise ConfigError(f"cannot load demo library: {e}") from e
+        self.matcher = CorrespondenceOracle(cfg.oracle)
+        self.library.register_with(self.matcher)
+        tasks = [t for t in builtin_tasks() if t.id in self.library.task_ids]
+        if sorted(t.id for t in tasks) != self.library.task_ids:
+            raise ConfigError("demo library contains tasks outside the library: "
+                              f"{self.library.task_ids}")
         self.tasks = task_map(tasks)
         self.task_ids = sorted(self.tasks)
-        self.matcher = matcher
-        self.planner = planner
-        self.evaluator = evaluator
-        self.world = world
-        self.rng = rng
-        self.out_dir = Path(out_dir)
-        self.filters = FilterConfig(residual_max=cfg.residual_max,
-                                    gap_max=cfg.gap_max)
+        self.planner = (RemotePlanner(cfg.planner_url, cfg.remote_timeout_s)
+                        if cfg.planner_url else RuleBasedPlanner(tasks))
+        self.evaluator = (RemoteEvaluator(cfg.evaluator_url, cfg.remote_timeout_s)
+                          if cfg.evaluator_url else RuleBasedEvaluator())
+        params = WorldParams(grasp_radius=cfg.grasp_radius, p_tip=cfg.p_tip,
+                             settle_jitter=cfg.settle_jitter)
+        self.world = spawn_world(self.layout, seed=cfg.seed + 1, params=params)
+        self.rng = np.random.default_rng(cfg.seed)
+        self.out_dir = Path(cfg.out_dir)
         self.iteration = 0
         self.consecutive_failures = 0
         self.interventions = []
-        self.arms = {t: {d: ArmStats() for d in library.by_task.get(t, [])}
+        self.arms = {t: {d: ArmStats() for d in self.library.by_task[t]}
                      for t in self.task_ids}
         self.episodes = {t: [] for t in self.task_ids}
-        missing = [t for t in self.task_ids if not library.by_task.get(t)]
-        if missing:
-            raise ConfigError(f"tasks without demos: {missing}")
         (self.out_dir / "dataset" / "episodes").mkdir(parents=True, exist_ok=True)
         (self.out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def _components(cfg: SessionConfig):
-        layout = layout_from_dict(cfg.layout) if cfg.layout else default_layout()
-        try:
-            library = DemoLibrary.load(cfg.demo_library)
-        except FileNotFoundError as e:
-            raise ConfigError(f"cannot load demo library: {e}") from e
-        oracle = CorrespondenceOracle(OracleConfig(
-            pixel_noise_sigma=cfg.pixel_noise_sigma,
-            outlier_rate=cfg.outlier_rate, seed=cfg.seed))
-        library.register_with(oracle)
-        tasks = [t for t in builtin_tasks() if t.id in library.task_ids]
-        if sorted(t.id for t in tasks) != library.task_ids:
-            raise ConfigError("demo library contains tasks outside the library: "
-                              f"{library.task_ids}")
-        planner = (RemotePlanner(cfg.planner_url, cfg.remote_timeout_s)
-                   if cfg.planner_url else RuleBasedPlanner(tasks))
-        evaluator = (RemoteEvaluator(cfg.evaluator_url, cfg.remote_timeout_s)
-                     if cfg.evaluator_url else RuleBasedEvaluator())
-        return layout, library, oracle, tasks, planner, evaluator
-
     @classmethod
     def start(cls, cfg: SessionConfig) -> "PlaySession":
-        layout, library, oracle, tasks, planner, evaluator = cls._components(cfg)
-        params = WorldParams(grasp_radius=cfg.grasp_radius, p_tip=cfg.p_tip,
-                             settle_jitter=cfg.settle_jitter)
-        world = spawn_world(layout, seed=cfg.seed + 1, params=params)
-        rng = np.random.default_rng(cfg.seed)
-        session = cls(cfg, layout, library, tasks, oracle, planner, evaluator,
-                      world, rng, cfg.out_dir)
+        session = cls(cfg)
         (session.out_dir / LOG_FILE).write_text("")   # fresh log
         return session
 
     @classmethod
-    def resume(cls, checkpoint_path, out_dir=None) -> "PlaySession":
-        doc = json.loads(Path(checkpoint_path).read_text())
-        cfg = SessionConfig.from_dict(doc["config"])
-        if out_dir is not None:
-            cfg.out_dir = str(out_dir)
-        layout, library, oracle, tasks, planner, evaluator = cls._components(cfg)
-        world = SimWorld.from_state_dict(layout, doc["world"])
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = doc["rng_state"]
-        session = cls(cfg, layout, library, tasks, oracle, planner, evaluator,
-                      world, rng, cfg.out_dir)
+    def resume(cls, checkpoint_path) -> "PlaySession":
+        path = Path(checkpoint_path)
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
+            raise OSError(f"{path} is not a complete checkpoint: {e}") from e
+        session = cls(SessionConfig.from_dict(doc["config"]))
+        session.world = SimWorld.from_state_dict(session.layout, doc["world"])
+        session.rng.bit_generator.state = doc["rng_state"]
         session.iteration = doc["iteration"]
         session.consecutive_failures = doc["consecutive_failures"]
         session.interventions = list(doc["interventions"])
@@ -465,7 +432,7 @@ class PlaySession:
         candidates = select_top_k(arms, total, self.cfg.k, self.cfg.c)
         record["candidates"] = candidates
         outcomes = [match_demo(self.matcher, self.library.demos[d], obs,
-                               self.filters,
+                               self.cfg.filters,
                                self.library.demo_side_distances.get(d))
                     for d in candidates]
         record["matches"] = [_match_summary(o) for o in outcomes]
@@ -489,7 +456,7 @@ class PlaySession:
         record["target_waypoints"] = targets.tolist()
 
         plan = warp_trajectory(demo, targets)
-        trace = execute_plan(self.world, plan, self.cfg.grasp_radius)
+        trace = execute_plan(self.world, plan)
         record["executed"] = True
         record["events"] = trace.events
         record["out_of_bounds"] = trace.out_of_bounds
@@ -568,8 +535,7 @@ class PlaySession:
         (self.out_dir / STATE_FILE).write_text(
             json.dumps(self.state_dict(), sort_keys=True))
         records = read_session_log(self.out_dir / LOG_FILE)
-        write_report_files(self.out_dir, records, library=self.library,
-                           interventions=self.interventions)
+        write_report_files(self.out_dir, records, library=self.library)
         return self
 
 
@@ -690,23 +656,22 @@ def coverage_table(records, library: DemoLibrary) -> list:
     return rows
 
 
-def arm_table(state_or_session) -> list:
-    arms = (state_or_session.arms if hasattr(state_or_session, "arms")
-            else state_or_session["arms"])
-    rows = []
-    for task_id in sorted(arms):
-        demos = arms[task_id]
-        for demo_id in sorted(demos):
-            a = demos[demo_id]
-            pulls, succ = (a.pulls, a.successes) if isinstance(a, ArmStats) else a
-            rows.append((task_id, demo_id, pulls, succ))
-    return rows
+def arm_table(records) -> list:
+    """Per-demo (task, demo, pulls, successes) rows of the executed
+    iterations, sorted by task and demo."""
+    arms = {}
+    for r in records:
+        if r["executed"]:
+            row = arms.setdefault((r["attempted_task"], r["selected_demo"]), [0, 0])
+            row[0] += 1
+            row[1] += int(r["success"])
+    return [(t, d, pulls, succ) for (t, d), (pulls, succ) in sorted(arms.items())]
 
 
-def write_report_files(out_dir, records, library: DemoLibrary = None,
-                       interventions=None, session_state: dict = None):
-    """CSV tables plus a plaintext summary. The summary header carries the
-    only timestamp in any session artifact."""
+def write_report_files(out_dir, records, library: DemoLibrary = None):
+    """CSV tables plus a plaintext summary, all from the session log (the
+    library adds the coverage table). The summary header carries the only
+    timestamp in any session artifact."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -716,27 +681,13 @@ def write_report_files(out_dir, records, library: DemoLibrary = None,
         for t, a, s, rate in tasks:
             fh.write(f"{t},{a},{s},{rate:.3f}\n")
 
-    if session_state is not None or interventions is not None or records:
-        arms_source = session_state if session_state is not None else None
-        if arms_source is None:
-            # rebuild pulls/successes from the log
-            rebuilt = {}
-            for r in records:
-                demo = r.get("selected_demo")
-                if demo is None or not r["executed"]:
-                    continue
-                row = rebuilt.setdefault(r["attempted_task"], {}).setdefault(
-                    demo, [0, 0])
-                row[0] += 1
-                row[1] += int(r["success"])
-            arms_source = {"arms": rebuilt}
-        with open(out_dir / "arms.csv", "w") as fh:
-            fh.write("task,demo,pulls,successes\n")
-            for task_id, demo_id, pulls, succ in arm_table(arms_source):
-                fh.write(f"{task_id},{demo_id},{pulls},{succ}\n")
+    with open(out_dir / "arms.csv", "w") as fh:
+        fh.write("task,demo,pulls,successes\n")
+        for task_id, demo_id, pulls, succ in arm_table(records):
+            fh.write(f"{task_id},{demo_id},{pulls},{succ}\n")
 
-    coverage = coverage_table(records, library) if library is not None else []
     if library is not None:
+        coverage = coverage_table(records, library)
         with open(out_dir / "coverage.csv", "w") as fh:
             fh.write("task,successes,play_hull_area,demo_hull_area\n")
             total_play = total_demo = 0.0
@@ -756,7 +707,7 @@ def write_report_files(out_dir, records, library: DemoLibrary = None,
              f"successes: {successes}",
              f"cumulative_success_rate: "
              f"{(successes / attempts if attempts else 0.0):.3f}",
-             f"interventions: {len(interventions or [])}",
+             f"interventions: {sum(1 for r in records if r.get('intervention'))}",
              f"simulated_play_time_s: {sim_time:.1f}"]
     if sim_time > 0 and successes:
         lines.append(f"simulated_seconds_per_success: {sim_time / successes:.1f}")

@@ -17,7 +17,6 @@ target scene, optionally corrupted by pixel noise and outliers.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,19 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .correspondence import Match, cross_view_distance
-from .demo import (ObjectState, SceneSnapshot, SemanticScene, _Probe,
-                   load_demo_index, save_demo_library, decode_summary,
-                   rig_from_probe, rig_to_dict, snapshot_content_to_dict,
-                   summarize_demo, trajectory_from_parts)
+from .demo import (ConfigError, ObjectState, SceneSnapshot, SemanticScene, _Probe,
+                   decode_summary, load_demo_index, read_json, rig_from_probe,
+                   rig_to_dict, snapshot_content_from_probe,
+                   snapshot_content_to_dict, summarize_demo,
+                   trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
 from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec
 
 ANNOTATION_PIXEL_TOL = 1e-6   # px, lookup tolerance for annotated keypoints
-
-
-class ConfigError(ValueError):
-    """Inconsistent layout or session configuration."""
 
 
 class PreconditionUnsatisfiable(ValueError):
@@ -401,10 +397,10 @@ class ExecutionTrace:
         return any(e["kind"] == "grasp" for e in self.events)
 
 
-def execute_plan(world: SimWorld, plan, grasp_radius: float = None) -> ExecutionTrace:
+def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
     """Teleport the gripper along the plan, mutating the world.
 
-    Grasping happens at close transitions (nearest object within
+    Grasping happens at close transitions (nearest object within the world's
     grasp_radius of the gripper's grasp point, or a logged miss), releasing
     at open transitions; objects inside a grasped container ride along.
     Actions outside the workspace are clipped and counted. Between
@@ -412,7 +408,6 @@ def execute_plan(world: SimWorld, plan, grasp_radius: float = None) -> Execution
     only at transition frames and at the last frame.
     """
     traj = getattr(plan, "trajectory", plan)
-    radius = world.params.grasp_radius if grasp_radius is None else grasp_radius
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     executed = np.clip(P, np.array(world.layout.workspace_min),
                        np.array(world.layout.workspace_max))
@@ -433,7 +428,7 @@ def execute_plan(world: SimWorld, plan, grasp_radius: float = None) -> Execution
                 world.objects[rider].position = held.position + off
         if i in toggles:
             if G[i] == 1:
-                _close_gripper(world, p, radius, events, i)
+                _close_gripper(world, p, world.params.grasp_radius, events, i)
             else:
                 _open_gripper(world, events, i)
     world.gripper_position = executed[last].copy()
@@ -508,9 +503,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.pixel_noise_sigma < 0:
-            raise ValueError("pixel_noise_sigma must be non-negative")
+            raise ConfigError("pixel_noise_sigma must be non-negative")
         if not 0.0 <= self.outlier_rate <= 1.0:
-            raise ValueError("outlier_rate must be a probability")
+            raise ConfigError("outlier_rate must be a probability")
 
 
 class CorrespondenceOracle:
@@ -843,16 +838,10 @@ class DemoLibrary:
                       side["initial"]["cross_view_distances"].items()}
             for demo_id, side in sidecars.items()
             if "cross_view_distances" in side.get("initial", {})}
-        self.final_snapshots = {}
-        for demo_id, side in sidecars.items():
-            scene = side["final"]["scene"]["payload"]
-            content = SemanticScene(
-                objects={k: ObjectState(position=tuple(v["position"]),
-                                        upright=v["upright"])
-                         for k, v in scene["objects"].items()},
-                anchors={k: tuple(v) for k, v in scene["anchors"].items()},
-                state_id=scene["state_id"])
-            self.final_snapshots[demo_id] = SceneSnapshot(rig=rig, content=content)
+        self.final_snapshots = {
+            demo_id: SceneSnapshot(rig=rig, content=snapshot_content_from_probe(
+                _Probe(side, f"sidecar[{demo_id}]").child("final").child("scene")))
+            for demo_id, side in sidecars.items()}
 
     @staticmethod
     def load(directory) -> "DemoLibrary":
@@ -862,15 +851,10 @@ class DemoLibrary:
         for entry in index["demos"]:
             demos.append(decode_summary((directory / entry["file"]).read_bytes()))
             if "sidecar" in entry:
-                sidecars[entry["id"]] = json.loads(
-                    (directory / entry["sidecar"]).read_text())
+                sidecars[entry["id"]] = read_json(directory / entry["sidecar"])
         if not demos:
             raise ConfigError(f"demo library at {directory} is empty")
         return DemoLibrary(demos, sidecars, demos[0].snapshot.rig)
-
-    def save(self, directory):
-        save_demo_library(directory, sorted(self.demos.values(), key=lambda d: d.id),
-                          self.sidecars)
 
     def register_with(self, oracle: CorrespondenceOracle):
         for side in self.sidecars.values():

@@ -44,21 +44,12 @@ class WarpedPlan:
         return len(self.trajectory)
 
 
-def spatial_alpha(position, seg_start, seg_end, temporal_fraction=0.0) -> float:
-    """Projection coefficient of a position onto the segment line.
-
-    Falls back to the supplied temporal fraction when the segment endpoints
-    nearly coincide (the projection divides by the squared segment length).
-    """
-    v = np.asarray(seg_end, dtype=float) - np.asarray(seg_start, dtype=float)
-    vv = float(v @ v)
-    if vv < DEGENERATE_SEGMENT ** 2:
-        return float(temporal_fraction)
-    return float((np.asarray(position, dtype=float) - seg_start) @ v / vv)
-
-
 def segment_alphas(positions, seg_start, seg_end) -> np.ndarray:
-    """Vectorized spatial_alpha over an (n, 3) position block."""
+    """Projection coefficients of an (n, 3) position block onto the segment line.
+
+    When the segment endpoints nearly coincide (the projection divides by the
+    squared segment length) the alphas run evenly from 0 to 1 instead.
+    """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
     v = np.asarray(seg_end, dtype=float) - np.asarray(seg_start, dtype=float)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from keywarp.bandit import (ArmStats, BanditConfig, UnknownDemo,
-                            sample_target_task, select_top_k,
-                            softmax_probabilities, ucb_index, update_stats)
+from keywarp.bandit import (ArmStats, UnknownDemo, sample_target_task,
+                            select_top_k, softmax_probabilities, ucb_index,
+                            update_stats)
+from keywarp.demo import ConfigError
+from keywarp.play import SessionConfig
 
 
 def test_softmax_uniform_for_equal_counts():
@@ -151,11 +153,11 @@ def test_ucb_finds_the_best_arm():
 
 
 def test_bandit_config_validation():
-    with pytest.raises(ValueError):
-        BanditConfig(k=0)
-    with pytest.raises(ValueError):
-        BanditConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        BanditConfig(c=-0.1)
+    with pytest.raises(ConfigError):
+        SessionConfig(k=0)
+    with pytest.raises(ConfigError):
+        SessionConfig(temperature=0.0)
+    with pytest.raises(ConfigError):
+        SessionConfig(c=-0.1)
     with pytest.raises(ValueError):
         ArmStats(pulls=1, successes=2)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -208,3 +209,58 @@ def test_malformed_json_exits_2_naming_the_file(tmp_path, capsys, flag):
     bad.write_text("{bad")
     assert main(flag + [str(bad), "--out", str(tmp_path / "o")]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def _index_not_json(lib):
+    (lib / "index.json").write_text("{not json")
+    return str(lib / "index.json")
+
+
+def _sidecar_without_final(lib):
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    side = json.loads((lib / entry["sidecar"]).read_text())
+    del side["final"]
+    (lib / entry["sidecar"]).write_text(json.dumps(side))
+    return f"sidecar[{entry['id']}]: missing key 'final'"
+
+
+@pytest.mark.parametrize("break_library", [_index_not_json, _sidecar_without_final],
+                         ids=["index-not-json", "sidecar-without-final"])
+@pytest.mark.parametrize("command", [["play", "--iterations", "1"],
+                                     ["warp", "--task", "pineapple_table_to_shelf"]],
+                         ids=["play", "warp"])
+def test_malformed_library_file_exits_2_naming_it(cli_library, tmp_path, capsys,
+                                                  command, break_library):
+    lib = tmp_path / "lib"
+    shutil.copytree(cli_library, lib)
+    expected = break_library(lib)
+    assert main(command + ["--demos", str(lib), "--out", str(tmp_path / "o")]) == 2
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["warp", "--residual-max", "-1"],
+                                  ["warp", "--gap-max", "0"],
+                                  ["warp", "--sigma", "-1"],
+                                  ["warp", "--outlier-rate", "2"],
+                                  ["gen-demos", "--n", "0"]],
+                         ids=["warp-residual-max", "warp-gap-max", "warp-sigma",
+                              "warp-outlier-rate", "gen-demos-n"])
+def test_out_of_range_flag_exits_2(cli_library, tmp_path, capsys, args):
+    command, flag, value = args
+    library = (["--demos", str(cli_library), "--task", "pineapple_table_to_shelf"]
+               if command == "warp" else [])
+    out = tmp_path / "o"
+    assert main([command, flag, value, *library, "--out", str(out)]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_play_resume_truncated_checkpoint_exits_4(cli_library, tmp_path, capsys):
+    out = tmp_path / "s"
+    assert main(["play", "--demos", str(cli_library), "--out", str(out),
+                 "--iterations", "10"]) == 0
+    checkpoint = out / "checkpoints" / "ckpt_000010.json"
+    data = checkpoint.read_bytes()
+    checkpoint.write_bytes(data[:len(data) // 2])
+    assert main(["play", "--out", str(out), "--resume", str(checkpoint)]) == 4
+    assert str(checkpoint) in capsys.readouterr().err

@@ -253,6 +253,23 @@ def test_session_requires_consistent_library(library_dir, tmp_path):
                                    tmp_path / "s"))
 
 
+@pytest.mark.parametrize("doc, ok", [
+    ({"c": 1, "temperature": 2.5, "seed": 3}, True),          # int for float
+    ({"layout": None, "planner_url": None}, True),            # None for Optional
+    ({"verification_enabled": False, "planner_url": "http://x"}, True),
+    ({"k": True}, False), ({"c": True}, False),               # bool is not a number
+    ({"k": 3.0}, False), ({"seed": "0"}, False), ({"seed": None}, False),
+    ({"verification_enabled": 1}, False), ({"layout": []}, False),
+    ({"made_up_key": 1}, False),
+])
+def test_session_config_from_dict_checks_field_types(doc, ok):
+    if ok:
+        assert SessionConfig.from_dict(doc) == SessionConfig(**doc)
+    else:
+        with pytest.raises(ConfigError):
+            SessionConfig.from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # remote planner / evaluator protocol
 

@@ -1,8 +1,10 @@
 """Property tests: the scalar geometry paths equal their numpy (np.cross)
 formulas bit for bit, projection and triangulation invert each other,
-execute_plan's toggle-frame stepping equals a plain per-step loop, and
+execute_plan's toggle-frame stepping equals a plain per-step loop,
 warp_trajectory's one-pass warp equals warping and retiming segment by
-segment."""
+segment, and the warp invariants hold: warping is affine in the endpoint
+displacements, target waypoints are pinned exactly, and retiming gives
+the documented step count with pinned endpoints."""
 
 import copy
 import dataclasses
@@ -20,6 +22,7 @@ from keywarp.sim import (SimWorld, WorldParams, _close_gripper, _open_gripper,
                          spawn_world)
 from keywarp.tasks import BOWL, builtin_tasks
 from keywarp.warp import retime_segment, warp_segment, warp_trajectory
+from oracle_utils import arc_length
 
 LAYOUT = default_layout()
 INTR = CameraIntrinsics(fx=420.0, fy=400.0, cx=320.0, cy=240.0,
@@ -114,10 +117,9 @@ def test_triangulate_inverts_projection(angle, spread, r_left, r_right,
 # ---------------------------------------------------------------------------
 # execute_plan
 
-def execute_per_step(world, plan, grasp_radius=None):
+def execute_per_step(world, plan):
     """Reference: advance the world one action at a time."""
     traj = getattr(plan, "trajectory", plan)
-    radius = world.params.grasp_radius if grasp_radius is None else grasp_radius
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     lo = np.array(world.layout.workspace_min)
     hi = np.array(world.layout.workspace_max)
@@ -140,7 +142,7 @@ def execute_per_step(world, plan, grasp_radius=None):
         toggled = (g != int(G[i - 1])) if i > 0 else (g == 1 and not world.gripper_closed)
         if toggled:
             if g == 1:
-                _close_gripper(world, p, radius, events, i)
+                _close_gripper(world, p, world.params.grasp_radius, events, i)
             else:
                 _open_gripper(world, events, i)
         world.gripper_closed = bool(g)
@@ -240,19 +242,78 @@ def held_still(demo, still_segment, head_at_start):
                                waypoint_indices=idx, waypoints=actions[idx, :3])
 
 
+def random_targets(demo, scale, seed, collapse):
+    """The demo's waypoints moved by Gaussian noise of the given scale, or
+    all moved onto one point."""
+    rng = np.random.default_rng(seed)
+    targets = demo.waypoints + rng.normal(0.0, scale, demo.waypoints.shape)
+    if collapse:   # every warped waypoint-to-waypoint segment has zero length
+        targets[:] = targets[0]
+    return targets
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DEMOS), st.sampled_from([0.0, 1e-7, 0.02, 0.3]),
        st.integers(0, 2**31), st.booleans(), st.booleans(), st.booleans())
 def test_warp_trajectory_equals_per_segment_loop(demo, scale, seed, collapse, still,
                                                  head_at_start):
     demo = held_still(demo, still, head_at_start)
-    rng = np.random.default_rng(seed)
-    targets = demo.waypoints + rng.normal(0.0, scale, demo.waypoints.shape)
-    if collapse:   # every warped waypoint-to-waypoint segment has zero length
-        targets[:] = targets[0]
+    targets = random_targets(demo, scale, seed, collapse)
     plan = warp_trajectory(demo, targets)
     positions, quats, grip, boundaries = warp_per_segment(demo, targets)
     assert np.array_equal(plan.trajectory.positions, positions)
     assert np.array_equal(plan.trajectory.orientations, quats)
     assert np.array_equal(plan.trajectory.gripper, grip)
     assert plan.segment_boundaries.tolist() == boundaries
+
+
+# ---------------------------------------------------------------------------
+# warp invariants
+
+@given(st.lists(vec3, min_size=1, max_size=12).map(np.array), vec3, vec3,
+       st.booleans(), vec3, vec3, vec3, vec3, st.floats(-2.0, 2.0))
+def test_warp_segment_is_affine_in_endpoint_displacements(positions, start, end,
+                                                          degenerate, d0, d1, e0, e1,
+                                                          lam):
+    if degenerate:   # the alphas fall back to evenly spaced ones
+        end = start
+    else:
+        assume(np.linalg.norm(end - start) > 0.1)
+    warp = lambda a, b: warp_segment(positions, start, end, a, b)   # noqa: E731
+    assert np.array_equal(warp(np.zeros(3), np.zeros(3)), positions)
+    mixed = warp(lam * d0 + (1 - lam) * e0, lam * d1 + (1 - lam) * e1)
+    assert np.allclose(mixed, lam * warp(d0, d1) + (1 - lam) * warp(e0, e1),
+                       rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEMOS), st.sampled_from([0.0, 1e-7, 0.02, 0.3]),
+       st.integers(0, 2**31), st.booleans(), st.booleans(), st.booleans())
+def test_warp_trajectory_pins_every_target_waypoint(demo, scale, seed, collapse, still,
+                                                    head_at_start):
+    demo = held_still(demo, still, head_at_start)
+    targets = random_targets(demo, scale, seed, collapse)
+    plan = warp_trajectory(demo, targets)
+    rows = plan.segment_boundaries
+    assert len(rows) == demo.num_waypoints
+    assert np.array_equal(plan.trajectory.positions[rows], targets)
+    assert np.array_equal(plan.trajectory.gripper[rows],
+                          demo.actions.gripper[demo.waypoint_indices])
+
+
+@given(st.lists(vec3, min_size=2, max_size=15).map(np.array),
+       st.floats(0.05, 4.0), st.floats(0.0, 0.05), st.integers(0, 2**31))
+def test_retime_segment_step_count_and_pinned_endpoints(source, stretch, jitter, seed):
+    rng = np.random.default_rng(seed)
+    warped = (source[0] + stretch * (source - source[0])
+              + rng.normal(0.0, jitter, source.shape))
+    quats = rng.normal(size=(len(source), 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    length = arc_length(source)
+    assume(length > 1e-6)
+    scaled_steps = arc_length(warped) / length * (len(source) - 1)
+    assume(abs(scaled_steps % 1.0 - 0.5) > 1e-6)   # no rounding tie
+    positions, orientations = retime_segment(source, warped, quats)
+    assert len(positions) == len(orientations) == max(1, round(scaled_steps)) + 1
+    assert np.array_equal(positions[[0, -1]], warped[[0, -1]])
+    assert np.array_equal(orientations[[0, -1]], quats[[0, -1]])

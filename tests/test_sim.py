@@ -273,7 +273,7 @@ def test_execute_far_close_does_not_attach(layout):
     positions = np.array([layout.home, far, far, layout.home])
     quats = np.tile(layout.home_orientation, (4, 1))
     traj = trajectory_from_parts(positions, quats, np.array([0, 0, 1, 1], float))
-    trace = execute_plan(world, traj, grasp_radius=0.03)
+    trace = execute_plan(world, traj)
     assert not trace.grasped
     assert any(e["kind"] == "grasp_miss" for e in trace.events)
     assert symbolic_state(world) == pre

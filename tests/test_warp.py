@@ -3,29 +3,34 @@ import pytest
 
 from keywarp.demo import trajectory_from_parts
 from keywarp.warp import (LengthMismatch, retime_segment, segment_alphas,
-                          spatial_alpha, warp_segment, warp_trajectory)
+                          warp_segment, warp_trajectory)
 from oracle_utils import arc_length, arc_position
 
 DOWN = np.array([0.0, 1.0, 0.0, 0.0])
 
 
+# The spatial alpha of a position is its projection coefficient onto the
+# segment line; segment_alphas computes it for a block of positions.
+
 def test_spatial_alpha_midpoint():
-    assert spatial_alpha([0.5, 0, 0], [0, 0, 0], [1, 0, 0]) == pytest.approx(0.5)
+    alphas = segment_alphas([[0.5, 0, 0], [0.25, 0, 0]], [0, 0, 0], [1, 0, 0])
+    assert alphas == pytest.approx([0.5, 0.25])
 
 
 def test_spatial_alpha_ignores_perpendicular_component():
-    assert spatial_alpha([0.5, 1, 0], [0, 0, 0], [1, 0, 0]) == pytest.approx(0.5)
+    alphas = segment_alphas([[0.5, 1, 0], [0.5, 0, -3]], [0, 0, 0], [1, 0, 0])
+    assert alphas == pytest.approx([0.5, 0.5])
 
 
 def test_spatial_alpha_extrapolates_unclamped():
-    assert spatial_alpha([2, 0, 0], [0, 0, 0], [1, 0, 0]) == pytest.approx(2.0)
+    alphas = segment_alphas([[2, 0, 0], [-1, 0, 0]], [0, 0, 0], [1, 0, 0])
+    assert alphas == pytest.approx([2.0, -1.0])
 
 
 def test_spatial_alpha_degenerate_segment_falls_back():
-    assert spatial_alpha([3, 1, 0], [1, 1, 1], [1, 1, 1],
-                         temporal_fraction=0.25) == pytest.approx(0.25)
     alphas = segment_alphas(np.zeros((5, 3)), [1, 1, 1], [1, 1, 1])
     assert np.allclose(alphas, np.linspace(0, 1, 5))
+    assert segment_alphas([[3, 1, 0]], [1, 1, 1], [1, 1, 1]).tolist() == [0.0]
 
 
 def test_warp_segment_blends_displacements():
