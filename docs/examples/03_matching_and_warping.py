@@ -8,9 +8,9 @@ executes the plan in the simulator.
 import numpy as np
 
 from keywarp import FilterConfig, match_demo, select_source_demo, warp_trajectory
-from keywarp.sim import (CorrespondenceOracle, OracleConfig, default_layout,
-                         execute_plan, generate_seed_demos, snapshot,
-                         spawn_world, symbolic_state)
+from keywarp.sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
+                         default_layout, execute_plan, generate_seed_demos,
+                         snapshot, spawn_world, symbolic_state)
 from keywarp.tasks import builtin_tasks
 
 layout = default_layout()
@@ -18,11 +18,7 @@ task = builtin_tasks()[0]                       # pineapple: table -> shelf
 
 demos, sidecars = generate_seed_demos(layout, task, n=5, seed=0)
 oracle = CorrespondenceOracle(OracleConfig(pixel_noise_sigma=0.5, seed=0))
-for side in sidecars.values():
-    for block in ("initial", "final"):
-        for a in side[block]["annotations"]:
-            oracle.register_annotation(side[block]["state_id"], a["view"],
-                                       a["pixel"], a["anchor"], a["offset"])
+DemoLibrary(demos, sidecars, layout.rig).register_with(oracle)
 
 world = spawn_world(layout, seed=42, slots={task.obj: task.source})
 obs = snapshot(world)

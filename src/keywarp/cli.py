@@ -2,11 +2,17 @@
 
 Exit codes: 0 success; 2 configuration error, including an out-of-range
 flag or config value, gen-demos --n below 1, a config, layout, library
-index or sidecar file that is not valid JSON, and a sidecar whose final
-scene is missing or malformed; 3 no feasible demo match; 4 I/O error,
-including a truncated checkpoint given to --resume. All outputs land
-under --out; every subcommand is deterministic for a fixed seed (the
-report's generated_at header is the single timestamp anywhere).
+index or sidecar file that is not valid JSON, a library index or sidecar
+that lacks a field or holds one of the wrong type (the message gives the
+field path), and a play --resume given --config, --demos, --seed, --k,
+--sigma, --outlier-rate, --residual-max or --gap-max, or an --out other
+than the checkpointed session's directory; 3 no feasible demo match; 4 I/O
+error, including a checkpoint given to --resume that is truncated or lacks
+a key, and a resumed session log with an unparsable line other than its
+last (a last line torn by a crash is dropped). A resumed session keeps its
+checkpointed config; only --iterations applies. All outputs land under
+--out; every subcommand is deterministic for a fixed seed (the report's
+generated_at header is the single timestamp anywhere).
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from pathlib import Path
 
 from .correspondence import AllInfeasible, FilterConfig, match_demo, select_source_demo
 from .demo import ConfigError, SchemaError, read_json, save_demo_library
-from .play import (SessionConfig, export_success_dataset, read_session_log,
-                   resume_session, run_session, write_report_files)
+from .play import (SessionConfig, _read_checkpoint, export_success_dataset,
+                   read_session_log, resume_session, run_session,
+                   write_report_files)
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
                   default_layout, generate_demo_library, layout_from_dict,
                   snapshot, spawn_world)
@@ -100,25 +107,34 @@ def _start_slots_for(task_id: str):
 
 
 def cmd_play(args) -> int:
-    doc = {}
-    if args.config:
-        doc = read_json(args.config)
-        if not isinstance(doc, dict):
-            raise ConfigError("session config must be a JSON object")
-    overrides = {
-        "seed": args.seed, "iterations": args.iterations, "k": args.k,
-        "pixel_noise_sigma": args.sigma, "outlier_rate": args.outlier_rate,
-        "residual_max": args.residual_max, "gap_max": args.gap_max,
-        "demo_library": args.demos,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    doc["out_dir"] = args.out
-
     if args.resume:
-        session = resume_session(args.resume, iterations=doc.get("iterations"))
+        given = [f"--{name.replace('_', '-')}" for name in
+                 ("config", "demos", "seed", "k", "sigma", "outlier_rate",
+                  "residual_max", "gap_max") if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be given with --resume: "
+                              "the session keeps its checkpointed config")
+        cfg = SessionConfig.from_dict(_read_checkpoint(args.resume)["config"])
+        if Path(args.out).resolve() != Path(cfg.out_dir).resolve():
+            raise ConfigError(f"--out {args.out} is not the checkpointed session's "
+                              f"directory {cfg.out_dir}")
+        session = resume_session(args.resume, iterations=args.iterations)
     else:
+        doc = {}
+        if args.config:
+            doc = read_json(args.config)
+            if not isinstance(doc, dict):
+                raise ConfigError("session config must be a JSON object")
+        overrides = {
+            "seed": args.seed, "iterations": args.iterations, "k": args.k,
+            "pixel_noise_sigma": args.sigma, "outlier_rate": args.outlier_rate,
+            "residual_max": args.residual_max, "gap_max": args.gap_max,
+            "demo_library": args.demos,
+        }
+        for key, value in overrides.items():
+            if value is not None:
+                doc[key] = value
+        doc["out_dir"] = args.out
         cfg = SessionConfig.from_dict(doc)
         if not cfg.demo_library:
             raise ConfigError("a demo library is required (--demos or config)")

@@ -83,6 +83,15 @@ def cross_view_distance(matcher: MatcherInterface, snapshot: SceneSnapshot,
     return point_ray_distance(ray, waypoint)
 
 
+def demo_cross_view_distances(matcher: MatcherInterface, demo: DemoSummary) -> dict:
+    """The demo half of the consistency check, {view: [T distances]}: each
+    demo keypoint's cross-view distance from its own waypoint."""
+    return {view: [cross_view_distance(matcher, demo.snapshot, demo.keypoints[view][t],
+                                       view, demo.waypoints[t])
+                   for t in range(demo.num_waypoints)]
+            for view in ("left", "right")}
+
+
 def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
                cfg: FilterConfig = FilterConfig(),
                demo_side_distances: dict = None) -> MatchOutcome:
@@ -94,9 +103,11 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     `demo_side_distances` optionally supplies the demo half of the
     cross-view check as {view: (T,) distances}. The demo images never
     change, so these can be computed once when the demo is summarized
-    (libraries store them alongside the demo); without them the demo side
-    is queried live, same as the observation side.
+    (libraries store them alongside the demo); without them they are
+    computed here, with `demo_cross_view_distances`, before any match.
     """
+    if demo_side_distances is None:
+        demo_side_distances = demo_cross_view_distances(matcher, demo)
     T = demo.num_waypoints
     kp_out = {v: np.full((T, 2), np.nan) for v in ("left", "right")}
     w_out = np.full((T, 3), np.nan)
@@ -125,12 +136,7 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
 
         worst_gap = 0.0
         for view in ("left", "right"):
-            if demo_side_distances is not None:
-                d_demo = float(demo_side_distances[view][t])
-            else:
-                d_demo = cross_view_distance(matcher, demo.snapshot,
-                                             demo.keypoints[view][t], view,
-                                             demo.waypoints[t])
+            d_demo = float(demo_side_distances[view][t])
             d_obs = cross_view_distance(matcher, obs, matched[view].pixel,
                                         view, point)
             worst_gap = max(worst_gap, abs(d_demo - d_obs))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -241,13 +241,8 @@ def summarize_demo(traj: Trajectory, snapshot: SceneSnapshot, task_id: str,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _intrinsics_to_dict(k: CameraIntrinsics):
-    return {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
-            "width": k.width, "height": k.height}
-
-
 def _camera_to_dict(c: Camera):
-    return {"intrinsics": _intrinsics_to_dict(c.intrinsics),
+    return {"intrinsics": asdict(c.intrinsics),
             "pose": {"position": c.position.tolist(),
                      "rotation": c.rotation.tolist()}}
 
@@ -302,9 +297,7 @@ class _Probe:
         raise SchemaError(f"{where}: {msg}")
 
     def child(self, key):
-        if not isinstance(self.doc, dict):
-            self.fail("expected object")
-        if key not in self.doc:
+        if key not in self.mapping():
             self.fail(f"missing key {key!r}")
         sep = "." if self.path else ""
         return _Probe(self.doc[key], f"{self.path}{sep}{key}")
@@ -467,20 +460,3 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
-
-
-def load_demo_index(directory) -> dict:
-    path = Path(directory) / INDEX_FILE
-    if not path.exists():
-        raise FileNotFoundError(f"no demo index at {path}")
-    return read_json(path)
-
-
-def load_demo_summaries(directory):
-    """Load every demo in a library directory, sorted by id."""
-    directory = Path(directory)
-    index = load_demo_index(directory)
-    out = []
-    for entry in index["demos"]:
-        out.append(decode_summary((directory / entry["file"]).read_bytes()))
-    return out

@@ -272,6 +272,20 @@ def _checkpoint_path(out_dir: Path, iteration: int) -> Path:
     return out_dir / "checkpoints" / f"ckpt_{iteration:06d}.json"
 
 
+def _read_checkpoint(path) -> dict:
+    """A checkpoint's document; OSError naming the file when it is truncated
+    or lacks one of the keys `PlaySession.state_dict` writes."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise OSError(f"{path} is not a complete checkpoint: {e}") from e
+    for key in ("iteration", "consecutive_failures", "interventions", "arms",
+                "episodes", "rng_state", "world", "config"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise OSError(f"{path} is not a complete checkpoint: missing key {key!r}")
+    return doc
+
+
 class PlaySession:
     """One reset-free play session over a demo library in a simulated world."""
 
@@ -320,11 +334,7 @@ class PlaySession:
 
     @classmethod
     def resume(cls, checkpoint_path) -> "PlaySession":
-        path = Path(checkpoint_path)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise OSError(f"{path} is not a complete checkpoint: {e}") from e
+        doc = _read_checkpoint(checkpoint_path)
         session = cls(SessionConfig.from_dict(doc["config"]))
         session.world = SimWorld.from_state_dict(session.layout, doc["world"])
         session.rng.bit_generator.state = doc["rng_state"]
@@ -340,16 +350,26 @@ class PlaySession:
 
     def _trim_log(self):
         """Drop log records past the restored iteration so a resumed session
-        rewrites them identically."""
+        rewrites them identically. An unparsable last line is a record torn
+        by a crash mid-append, which is past the checkpoint because a record
+        is appended before its checkpoint is saved; any other unparsable
+        line is an OSError naming the file."""
         path = self.out_dir / LOG_FILE
         if not path.exists():
             path.write_text("")
             return
+        lines = path.read_text().splitlines()
         kept = []
-        for line in path.read_text().splitlines():
+        for n, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            if json.loads(line)["iteration"] <= self.iteration:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                if n == len(lines):
+                    break
+                raise OSError(f"{path} line {n} is not a log record: {e}") from e
+            if record["iteration"] <= self.iteration:
                 kept.append(line)
         path.write_text("".join(l + "\n" for l in kept))
 

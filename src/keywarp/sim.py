@@ -18,22 +18,20 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .correspondence import Match, cross_view_distance
-from .demo import (ConfigError, ObjectState, SceneSnapshot, SemanticScene, _Probe,
-                   decode_summary, load_demo_index, read_json, rig_from_probe,
-                   rig_to_dict, snapshot_content_from_probe,
+from .correspondence import Match, demo_cross_view_distances
+from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
+                   SemanticScene, _Probe, decode_summary, read_json,
+                   rig_from_probe, rig_to_dict, snapshot_content_from_probe,
                    snapshot_content_to_dict, summarize_demo,
                    trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
 from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec
-
-ANNOTATION_PIXEL_TOL = 1e-6   # px, lookup tolerance for annotated keypoints
 
 
 class PreconditionUnsatisfiable(ValueError):
@@ -115,32 +113,8 @@ class Layout:
         return {TABLE: tuple(self.table.center), SHELF: tuple(self.shelf.center)}
 
 
-def _region_to_dict(r: SlotRegion):
-    return {"x_min": r.x_min, "x_max": r.x_max, "y_min": r.y_min,
-            "y_max": r.y_max, "z": r.z}
-
-
 def layout_to_dict(layout: Layout) -> dict:
-    return {
-        "table": _region_to_dict(layout.table),
-        "shelf": _region_to_dict(layout.shelf),
-        "objects": [{"id": o.id, "grasp_offset": list(o.grasp_offset),
-                     "is_container": o.is_container, "footprint": o.footprint,
-                     "interior_offset": o.interior_offset} for o in layout.objects],
-        "rig": rig_to_dict(layout.rig),
-        "home": list(layout.home),
-        "home_orientation": list(layout.home_orientation),
-        "workspace_min": list(layout.workspace_min),
-        "workspace_max": list(layout.workspace_max),
-        "control_rate": layout.control_rate,
-        "demo_region_scale": layout.demo_region_scale,
-        "release_margin": layout.release_margin,
-        "approach_height": layout.approach_height,
-        "release_clearance": layout.release_clearance,
-        "max_speed": layout.max_speed,
-        "accel": layout.accel,
-        "dwell_s": layout.dwell_s,
-    }
+    return dict(asdict(layout), rig=rig_to_dict(layout.rig))
 
 
 def layout_from_dict(doc: dict) -> Layout:
@@ -246,10 +220,7 @@ class SimWorld:
                         "attached": self.attached,
                         "riders": {k: v.tolist() for k, v in self._rider_offsets.items()}},
             "rng_state": self.rng.bit_generator.state,
-            "params": {"grasp_radius": self.params.grasp_radius,
-                       "p_tip": self.params.p_tip,
-                       "tip_drop_height": self.params.tip_drop_height,
-                       "settle_jitter": self.params.settle_jitter},
+            "params": asdict(self.params),
         }
 
     @staticmethod
@@ -528,16 +499,17 @@ class CorrespondenceOracle:
     state (the current observation) and drops them when a match into
     another unregistered state is memoized.
 
-    A query resolves to the annotation at exactly its pixel (registered
-    ones before memoized ones, then the earliest); failing that, to the
-    nearest one within ANNOTATION_PIXEL_TOL.
+    A query resolves only through the annotation at exactly its pixel,
+    bit for bit: registered annotations before memoized matches, and the
+    first registration of a pixel before later ones. Any other pixel has no
+    match.
     """
 
     def __init__(self, config: OracleConfig = None):
         self.config = config or OracleConfig()
-        self._annotations = {}   # (state_id, view) -> [(pixel, anchor|None, offset)]
+        self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
         self._registered = set()   # state ids with registered annotations
-        self._memo = {}          # state_id -> view -> {pixel: entry}
+        self._memo = {}          # state_id -> view -> {pixel: (anchor|None, offset)}
         self._memo_state = None  # the one unregistered state in the memo
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
@@ -545,7 +517,7 @@ class CorrespondenceOracle:
         # library's sidecars) instead of allocating copies
         pixel = tuple(map(float, pixel))
         offset = None if offset is None else tuple(map(float, offset))
-        self._annotations.setdefault((state_id, view), []).append((pixel, anchor, offset))
+        self._annotations.setdefault((state_id, view, pixel), (anchor, offset))
         self._registered.add(state_id)
         if state_id == self._memo_state:
             self._memo_state = None   # its memo is now kept for good
@@ -554,28 +526,8 @@ class CorrespondenceOracle:
         if state_id not in self._registered and state_id != self._memo_state:
             self._memo.pop(self._memo_state, None)
             self._memo_state = state_id
-        key = tuple(pixel.tolist())
         self._memo.setdefault(state_id, {}).setdefault(view, {}).setdefault(
-            key, (key, anchor, offset))
-
-    def _resolve(self, state_id, view, pixel):
-        key = tuple(np.asarray(pixel, dtype=float).tolist())
-        registered = self._annotations.get((state_id, view), ())
-        for entry in registered:
-            if entry[0] == key:
-                return entry
-        memo = self._memo.get(state_id, {}).get(view, {})
-        if key in memo:
-            return memo[key]
-        pixel = np.asarray(pixel, dtype=float)
-        best, best_d = None, float("inf")
-        for entry in (*registered, *memo.values()):
-            d = float(np.linalg.norm(entry[0] - pixel))
-            if d < best_d:
-                best, best_d = entry, d
-        if best_d > ANNOTATION_PIXEL_TOL:
-            return None
-        return best
+            tuple(pixel.tolist()), (anchor, offset))
 
     @staticmethod
     def _anchor_position(content: SemanticScene, anchor):
@@ -593,10 +545,12 @@ class CorrespondenceOracle:
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):
-        entry = self._resolve(source.state_id, query_view, query_pixel)
-        if entry is None or entry[1] is None:
+        key = tuple(np.asarray(query_pixel, dtype=float).tolist())
+        entry = (self._annotations.get((source.state_id, query_view, key))
+                 or self._memo.get(source.state_id, {}).get(query_view, {}).get(key))
+        if entry is None or entry[0] is None:
             return None
-        _, anchor, offset = entry
+        anchor, offset = entry
         anchor_pos = self._anchor_position(target.content, anchor)
         if anchor_pos is None:
             return None
@@ -795,11 +749,7 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
         for a in initial_annots:
             probe.register_annotation(obs.state_id, a["view"], a["pixel"],
                                       a["anchor"], a["offset"])
-        demo_side = {view: [cross_view_distance(probe, obs,
-                                                summary.keypoints[view][t],
-                                                view, summary.waypoints[t])
-                            for t in range(summary.num_waypoints)]
-                     for view in ("left", "right")}
+        demo_side = demo_cross_view_distances(probe, summary)
 
         sidecars[demo_id] = {
             "demo_id": demo_id,
@@ -833,33 +783,41 @@ class DemoLibrary:
         self.task_ids = sorted({d.task_id for d in demos})
         self.by_task = {t: sorted(d.id for d in demos if d.task_id == t)
                         for t in self.task_ids}
-        self.demo_side_distances = {
-            demo_id: {v: np.asarray(d, dtype=float) for v, d in
-                      side["initial"]["cross_view_distances"].items()}
-            for demo_id, side in sidecars.items()
-            if "cross_view_distances" in side.get("initial", {})}
-        self.final_snapshots = {
-            demo_id: SceneSnapshot(rig=rig, content=snapshot_content_from_probe(
-                _Probe(side, f"sidecar[{demo_id}]").child("final").child("scene")))
-            for demo_id, side in sidecars.items()}
+        self.demo_side_distances, self.final_snapshots = {}, {}
+        for demo_id, side in sidecars.items():
+            p = _Probe(side, f"sidecar[{demo_id}]")
+            initial = p.child("initial")
+            if "cross_view_distances" in initial.mapping():
+                distances = initial.child("cross_view_distances")
+                self.demo_side_distances[demo_id] = {
+                    v: np.array([x.number() for x in distances.child(v).array()])
+                    for v in ("left", "right")}
+            self.final_snapshots[demo_id] = SceneSnapshot(
+                rig=rig, content=snapshot_content_from_probe(
+                    p.child("final").child("scene")))
 
     @staticmethod
     def load(directory) -> "DemoLibrary":
         directory = Path(directory)
-        index = load_demo_index(directory)
+        path = directory / INDEX_FILE
         demos, sidecars = [], {}
-        for entry in index["demos"]:
-            demos.append(decode_summary((directory / entry["file"]).read_bytes()))
-            if "sidecar" in entry:
-                sidecars[entry["id"]] = read_json(directory / entry["sidecar"])
+        for entry in _Probe(read_json(path), str(path)).child("demos").array():
+            demos.append(decode_summary(
+                (directory / entry.child("file").string()).read_bytes()))
+            if "sidecar" in entry.mapping():
+                sidecars[entry.child("id").string()] = read_json(
+                    directory / entry.child("sidecar").string())
         if not demos:
             raise ConfigError(f"demo library at {directory} is empty")
         return DemoLibrary(demos, sidecars, demos[0].snapshot.rig)
 
     def register_with(self, oracle: CorrespondenceOracle):
-        for side in self.sidecars.values():
+        for demo_id, side in self.sidecars.items():
+            p = _Probe(side, f"sidecar[{demo_id}]")
             for block in ("initial", "final"):
-                state_id = side[block]["state_id"]
-                for a in side[block]["annotations"]:
-                    oracle.register_annotation(state_id, a["view"], a["pixel"],
-                                               a["anchor"], a["offset"])
+                state_id = p.child(block).child("state_id").string()
+                for a in p.child(block).child("annotations").array():
+                    oracle.register_annotation(
+                        state_id, a.child("view").string(),
+                        a.child("pixel").vector(2), a.child("anchor").string(),
+                        a.child("offset").vector(3))

@@ -255,6 +255,102 @@ def test_out_of_range_flag_exits_2(cli_library, tmp_path, capsys, args):
     assert not out.exists()
 
 
+def _index_without_demos(lib):
+    index = json.loads((lib / "index.json").read_text())
+    del index["demos"]
+    (lib / "index.json").write_text(json.dumps(index))
+    return f"{lib / 'index.json'}: missing key 'demos'"
+
+
+def _sidecar_without_initial(lib):
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    side = json.loads((lib / entry["sidecar"]).read_text())
+    del side["initial"]
+    (lib / entry["sidecar"]).write_text(json.dumps(side))
+    return f"sidecar[{entry['id']}]: missing key 'initial'"
+
+
+@pytest.mark.parametrize("break_library", [_index_without_demos, _sidecar_without_initial],
+                         ids=["index-without-demos", "sidecar-without-initial"])
+@pytest.mark.parametrize("command", [["play", "--iterations", "1"],
+                                     ["warp", "--task", "pineapple_table_to_shelf"]],
+                         ids=["play", "warp"])
+def test_library_file_missing_field_exits_2_naming_its_path(cli_library, tmp_path, capsys,
+                                                             command, break_library):
+    lib = tmp_path / "lib"
+    shutil.copytree(cli_library, lib)
+    expected = break_library(lib)
+    assert main(command + ["--demos", str(lib), "--out", str(tmp_path / "o")]) == 2
+    assert expected in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_session(cli_library, tmp_path_factory):
+    """A finished 10-iteration session; its last checkpoint is ckpt_000010."""
+    out = tmp_path_factory.mktemp("cli-session") / "s"
+    assert main(["play", "--demos", str(cli_library), "--out", str(out),
+                 "--iterations", "10"]) == 0
+    return out
+
+
+def _tree_state(directory):
+    return {p: (p.stat().st_mtime_ns, p.read_bytes())
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+def test_play_resume_into_another_out_exits_2(cli_session, tmp_path, capsys):
+    """A copied session resumed with --out naming the copy would write into
+    the original's directory, the one its checkpoint names; refuse it."""
+    copy = tmp_path / "copy"
+    shutil.copytree(cli_session, copy)
+    before = _tree_state(cli_session), _tree_state(copy)
+    assert main(["play", "--out", str(copy), "--iterations", "12",
+                 "--resume", str(copy / "checkpoints" / "ckpt_000010.json")]) == 2
+    assert str(cli_session) in capsys.readouterr().err
+    assert (_tree_state(cli_session), _tree_state(copy)) == before
+
+
+@pytest.mark.parametrize("flag", [["--config", "cfg.json"], ["--demos", "lib"],
+                                  ["--seed", "9"], ["--k", "1"], ["--sigma", "1"],
+                                  ["--outlier-rate", "0.1"], ["--residual-max", "0.2"],
+                                  ["--gap-max", "0.2"]],
+                         ids=lambda f: f[0][2:])
+def test_play_resume_rejects_session_flags(cli_session, capsys, flag):
+    before = _tree_state(cli_session)
+    assert main(["play", "--out", str(cli_session), *flag,
+                 "--resume", str(cli_session / "checkpoints" / "ckpt_000010.json")]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert _tree_state(cli_session) == before
+
+
+def test_play_resume_checkpoint_without_a_key_exits_4(cli_session, tmp_path, capsys):
+    session = tmp_path / "s"
+    shutil.copytree(cli_session, session)
+    checkpoint = session / "checkpoints" / "ckpt_000010.json"
+    doc = json.loads(checkpoint.read_text())
+    del doc["world"]
+    checkpoint.write_text(json.dumps(doc))
+    assert main(["play", "--out", doc["config"]["out_dir"],
+                 "--resume", str(checkpoint)]) == 4
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "'world'" in err
+
+
+def test_play_resume_unparsable_log_line_exits_4(cli_library, tmp_path, capsys):
+    """Only the last log line can be torn by a crash; an unparsable line
+    before it is corruption, reported with the log's path."""
+    out = tmp_path / "s"
+    assert main(["play", "--demos", str(cli_library), "--out", str(out),
+                 "--iterations", "10"]) == 0
+    log = out / "session_log.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:len(lines[2]) // 2] + "\n"
+    log.write_text("".join(lines))
+    assert main(["play", "--out", str(out), "--iterations", "12",
+                 "--resume", str(out / "checkpoints" / "ckpt_000010.json")]) == 4
+    assert str(log) in capsys.readouterr().err
+
+
 def test_play_resume_truncated_checkpoint_exits_4(cli_library, tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["play", "--demos", str(cli_library), "--out", str(out),

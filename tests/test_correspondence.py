@@ -4,7 +4,8 @@ import pytest
 from conftest import make_oracle
 from keywarp.correspondence import (AllInfeasible, FilterConfig, Match,
                                     MatchOutcome, cross_view_distance,
-                                    match_demo, select_source_demo)
+                                    demo_cross_view_distances, match_demo,
+                                    select_source_demo)
 from keywarp.demo import ObjectState, SceneSnapshot, SemanticScene
 
 
@@ -225,3 +226,24 @@ def test_select_source_demo_permutation_invariant():
     for _ in range(10):
         perm = list(rng.permutation(len(outcomes)))
         assert select_source_demo([outcomes[i] for i in perm]) == "d1"
+
+
+def test_demo_cross_view_distances_are_the_stored_ones(library, clean_oracle):
+    """The library's stored demo side is what `demo_cross_view_distances`
+    computes with a clean oracle, so match_demo without it (computing it
+    itself) gives the same outcome as with it."""
+    rng = np.random.default_rng(4)
+    for demo in library.demos.values():
+        stored = library.demo_side_distances[demo.id]
+        computed = demo_cross_view_distances(clean_oracle, demo)
+        assert all(np.array_equal(computed[v], stored[v]) for v in ("left", "right"))
+        target = _shifted_snapshot(demo.snapshot, rng.uniform(-0.03, 0.03, 3) * [1, 1, 0])
+        live = match_demo(clean_oracle, demo, target, FilterConfig(), None)
+        given = match_demo(clean_oracle, demo, target, FilterConfig(), stored)
+        assert (live.feasible, live.score) == (given.feasible, given.score)
+        for a, b in ((live.target_waypoints, given.target_waypoints),
+                     (live.triangulation_residuals, given.triangulation_residuals),
+                     (live.cross_view_gaps, given.cross_view_gaps),
+                     *((live.target_keypoints[v], given.target_keypoints[v])
+                       for v in ("left", "right"))):
+            assert np.array_equal(a, b, equal_nan=True)

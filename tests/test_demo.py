@@ -7,10 +7,10 @@ import pytest
 from keywarp.demo import (ImageScene, NoWaypoints, SceneSnapshot,
                           SchemaError, SemanticScene, Trajectory,
                           decode_summary, encode_summary, extract_waypoints,
-                          load_demo_summaries, save_demo_library,
-                          summarize_demo, trajectory_from_parts)
+                          save_demo_library, summarize_demo,
+                          trajectory_from_parts)
 from keywarp.geometry import NonPositiveDepth, project
-from keywarp.sim import generate_seed_demos
+from keywarp.sim import DemoLibrary, generate_seed_demos
 from keywarp.tasks import builtin_tasks
 
 GOLDEN = Path(__file__).parent / "data" / "golden_summary.json"
@@ -162,7 +162,7 @@ def test_golden_file_decodes_and_reencodes():
 def test_library_save_load_roundtrip(tmp_path, library):
     demos = sorted(library.demos.values(), key=lambda d: d.id)[:4]
     save_demo_library(tmp_path / "lib", demos)
-    loaded = load_demo_summaries(tmp_path / "lib")
+    loaded = list(DemoLibrary.load(tmp_path / "lib").demos.values())
     assert [d.id for d in loaded] == [d.id for d in demos]
     assert all(a == b for a, b in zip(loaded, demos))
 

@@ -215,6 +215,28 @@ def test_resume_discards_records_past_the_checkpoint(library_dir, tmp_path):
         (tmp_path / "killed" / "session_log.jsonl").read_bytes()
 
 
+def test_resume_drops_a_log_record_torn_mid_append(library_dir, tmp_path):
+    """A crash while appending record 25 leaves half a line after the
+    checkpoint of iteration 24; resuming from that checkpoint drops it and
+    reaches the uninterrupted session's log and final state."""
+    run_session(session_config(library_dir, tmp_path / "full", iterations=36,
+                               checkpoint_every=12))
+    run_session(session_config(library_dir, tmp_path / "torn", iterations=25,
+                               checkpoint_every=12))
+    log = tmp_path / "torn" / "session_log.jsonl"
+    data = log.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    log.write_bytes(data[:last + (len(data) - last) // 2])
+    resume_session(tmp_path / "torn" / "checkpoints" / "ckpt_000024.json",
+                   iterations=36)
+    assert (tmp_path / "full" / "session_log.jsonl").read_bytes() == log.read_bytes()
+    states = [json.loads((tmp_path / d / "session_state.json").read_text())
+              for d in ("full", "torn")]
+    for doc in states:
+        doc["config"]["out_dir"] = ""
+    assert states[0] == states[1]
+
+
 def test_empty_session_produces_valid_artifacts(library_dir, tmp_path):
     session = run_session(session_config(library_dir, tmp_path / "s",
                                          iterations=0))

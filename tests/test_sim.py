@@ -189,14 +189,14 @@ def test_oracle_duplicate_pixel_resolves_to_first_registration(layout):
     assert np.array_equal(m.pixel, project(layout.rig.right, [0.3, 0.0, 0.0]))
 
 
-def test_oracle_lookup_tolerance_is_1e6_px(layout):
+def test_oracle_lookup_is_exact(layout):
     scene = _anchor_scene(layout.rig, a=(0.3, 0.0, 0.0))
     oracle = CorrespondenceOracle()
     oracle.register_annotation(scene.state_id, "left", [10.0, 20.0], "a",
                                [0.0, 0.0, 0.0])
-    assert oracle.match(scene, scene, [10.0 + 5e-7, 20.0], "left", "right") is not None
-    assert oracle.match(scene, scene, [10.0, 20.0 - 5e-7], "left", "right") is not None
-    assert oracle.match(scene, scene, [10.0 + 2e-6, 20.0], "left", "right") is None
+    assert oracle.match(scene, scene, [10.0, 20.0], "left", "right") is not None
+    assert oracle.match(scene, scene, [10.0 + 5e-7, 20.0], "left", "right") is None
+    assert oracle.match(scene, scene, [10.0, 20.0 - 5e-7], "left", "right") is None
 
 
 def _moved(layout, snap, delta):
