@@ -8,9 +8,12 @@ field path), and a play --resume given --config, --demos, --seed, --k,
 --sigma, --outlier-rate, --residual-max or --gap-max, or an --out other
 than the checkpointed session's directory; 3 no feasible demo match; 4 I/O
 error, including a checkpoint given to --resume that is truncated or lacks
-a key, and a resumed session log with an unparsable line other than its
-last (a last line torn by a crash is dropped). A resumed session keeps its
-checkpointed config; only --iterations applies. All outputs land under
+a key (nested ones too), a resumed session whose log is missing, lacks one
+of the checkpoint's iterations or names a task or demo outside the library,
+and a session log given to report or --resume with an unparsable line other
+than its last (a last line torn by a crash is dropped). A resumed session
+keeps its checkpointed config and rebuilds its statistics from the log;
+only --iterations applies. All outputs land under
 --out; every subcommand is deterministic for a fixed seed (the report's
 generated_at header is the single timestamp anywhere).
 """
@@ -147,10 +150,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_report(args) -> int:
-    log_path = Path(args.log)
-    if not log_path.exists():
-        raise FileNotFoundError(f"no session log at {log_path}")
-    records = read_session_log(log_path)
+    records = read_session_log(args.log)
     library = DemoLibrary.load(args.demos) if args.demos else None
     write_report_files(args.out, records, library=library)
     print(f"report for {len(records)} iterations written to {args.out}")

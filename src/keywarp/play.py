@@ -13,6 +13,8 @@ cadence, and can resume to a bit-identical final state.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import time
 import urllib.error
 import urllib.request
@@ -219,22 +221,18 @@ class SessionConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
-        if self.k < 1:
-            raise ConfigError("k must be at least 1")
-        if not self.temperature > 0:
-            raise ConfigError("temperature must be positive")
         for name in ("c", "settle_jitter", "explore_sigma"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not 0.0 <= self.p_tip <= 1.0:
             raise ConfigError("p_tip must be a probability")
-        for name in ("grasp_radius", "verification_threshold", "remote_timeout_s"):
+        for name in ("temperature", "grasp_radius", "verification_threshold",
+                     "remote_timeout_s"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.max_consecutive_failures < 1:
-            raise ConfigError("max_consecutive_failures must be at least 1")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be at least 1")
+        for name in ("k", "max_consecutive_failures", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         # the filter and oracle configs check their own fields' ranges
         self.filters = FilterConfig(residual_max=self.residual_max, gap_max=self.gap_max)
         self.oracle = OracleConfig(pixel_noise_sigma=self.pixel_noise_sigma,
@@ -268,8 +266,15 @@ LOG_FILE = "session_log.jsonl"
 STATE_FILE = "session_state.json"
 
 
-def _checkpoint_path(out_dir: Path, iteration: int) -> Path:
-    return out_dir / "checkpoints" / f"ckpt_{iteration:06d}.json"
+def _write_atomic(path: Path, text: str):
+    """Write `text` through a temporary file in the same directory and
+    `os.replace`, so a crash leaves the old file or the new one whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_checkpoint(path) -> dict:
@@ -279,8 +284,7 @@ def _read_checkpoint(path) -> dict:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise OSError(f"{path} is not a complete checkpoint: {e}") from e
-    for key in ("iteration", "consecutive_failures", "interventions", "arms",
-                "episodes", "rng_state", "world", "config"):
+    for key in ("iteration", "consecutive_failures", "rng_state", "world", "config"):
         if not isinstance(doc, dict) or key not in doc:
             raise OSError(f"{path} is not a complete checkpoint: missing key {key!r}")
     return doc
@@ -334,44 +338,32 @@ class PlaySession:
 
     @classmethod
     def resume(cls, checkpoint_path) -> "PlaySession":
+        """The session at checkpoint N, with its statistics rebuilt from log
+        records 1..N and later records dropped. OSError naming the file when
+        the checkpoint is incomplete, or the log is missing, lacks one of
+        records 1..N or names a task or demo outside the library."""
         doc = _read_checkpoint(checkpoint_path)
         session = cls(SessionConfig.from_dict(doc["config"]))
-        session.world = SimWorld.from_state_dict(session.layout, doc["world"])
-        session.rng.bit_generator.state = doc["rng_state"]
+        try:
+            session.world = SimWorld.from_state_dict(session.layout, doc["world"])
+            session.rng.bit_generator.state = doc["rng_state"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise OSError(f"{checkpoint_path} is not a complete checkpoint: {e!r}") from e
         session.iteration = doc["iteration"]
         session.consecutive_failures = doc["consecutive_failures"]
-        session.interventions = list(doc["interventions"])
-        for task_id, demos in doc["arms"].items():
-            session.arms[task_id] = {d: ArmStats(pulls=v[0], successes=v[1])
-                                     for d, v in demos.items()}
-        session.episodes = {t: list(v) for t, v in doc["episodes"].items()}
-        session._trim_log()
-        return session
-
-    def _trim_log(self):
-        """Drop log records past the restored iteration so a resumed session
-        rewrites them identically. An unparsable last line is a record torn
-        by a crash mid-append, which is past the checkpoint because a record
-        is appended before its checkpoint is saved; any other unparsable
-        line is an OSError naming the file."""
-        path = self.out_dir / LOG_FILE
-        if not path.exists():
-            path.write_text("")
-            return
-        lines = path.read_text().splitlines()
-        kept = []
-        for n, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
+        path = session.out_dir / LOG_FILE
+        kept = read_session_log(path)[:session.iteration]
+        if [r.get("iteration") for r in kept] != list(range(1, session.iteration + 1)):
+            raise OSError(f"{path} does not hold iterations 1..{session.iteration} "
+                          f"of {checkpoint_path}")
+        for record in kept:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                if n == len(lines):
-                    break
-                raise OSError(f"{path} line {n} is not a log record: {e}") from e
-            if record["iteration"] <= self.iteration:
-                kept.append(line)
-        path.write_text("".join(l + "\n" for l in kept))
+                session._account(record)
+            except (KeyError, TypeError, ValueError) as e:
+                raise OSError(f"{path} iteration {record['iteration']} is not a "
+                              f"record of this library: {e!r}") from e
+        _write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in kept))
+        return session
 
     # -- state -------------------------------------------------------------
 
@@ -380,21 +372,18 @@ class PlaySession:
         return {t: len(self.episodes[t]) for t in self.task_ids}
 
     def state_dict(self) -> dict:
+        """What the log cannot give; `resume` rebuilds the statistics from it."""
         return {
             "iteration": self.iteration,
             "consecutive_failures": self.consecutive_failures,
-            "interventions": self.interventions,
-            "arms": {t: {d: [a.pulls, a.successes] for d, a in demos.items()}
-                     for t, demos in self.arms.items()},
-            "episodes": self.episodes,
             "rng_state": self.rng.bit_generator.state,
             "world": self.world.state_dict(),
             "config": self.cfg.to_dict(),
         }
 
     def save_checkpoint(self) -> Path:
-        path = _checkpoint_path(self.out_dir, self.iteration)
-        path.write_text(json.dumps(self.state_dict(), sort_keys=True))
+        path = self.out_dir / "checkpoints" / f"ckpt_{self.iteration:06d}.json"
+        _write_atomic(path, json.dumps(self.state_dict(), sort_keys=True))
         return path
 
     # -- the loop ----------------------------------------------------------
@@ -499,12 +488,8 @@ class PlaySession:
         success = ok_eval and ok_verify
         record["success"] = success
 
-        update_stats(arms, demo_id, int(success))
         if success:
             record["episode_file"] = self._write_episode(record, plan)
-            self.episodes[task_id].append({
-                "iteration": self.iteration, "file": record["episode_file"],
-                "source_demo_id": demo_id})
             self.consecutive_failures = 0
         else:
             self._register_failure(record)
@@ -517,7 +502,6 @@ class PlaySession:
             self._intervene("stall", record)
 
     def _intervene(self, reason, record):
-        self.interventions.append({"iteration": self.iteration, "reason": reason})
         record["intervention"] = reason
         randomize_world(self.world)
         self.consecutive_failures = 0
@@ -531,13 +515,29 @@ class PlaySession:
             "iteration": record["iteration"],
             "source_demo_id": plan.source_demo_id,
         }
-        path = self.out_dir / "dataset" / "episodes" / fname
-        path.write_text(json.dumps(doc, sort_keys=True))
+        _write_atomic(self.out_dir / "dataset" / "episodes" / fname,
+                      json.dumps(doc, sort_keys=True))
         return f"episodes/{fname}"
 
     def _append_log(self, record):
         with open(self.out_dir / LOG_FILE, "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._account(record)
+
+    def _account(self, record):
+        """Fold a finished log record into `arms`, `episodes` and `interventions`,
+        their only writer, live and on resume."""
+        task_id = record["attempted_task"]
+        if record["executed"]:
+            update_stats(self.arms[task_id], record["selected_demo"],
+                         int(record["success"]))
+        if record["success"]:
+            self.episodes[task_id].append({
+                "iteration": record["iteration"], "file": record["episode_file"],
+                "source_demo_id": record["selected_demo"]})
+        if record["intervention"]:
+            self.interventions.append({"iteration": record["iteration"],
+                                       "reason": record["intervention"]})
 
     def run(self, until: int = None):
         """Run iterations up to `until` (defaults to the configured count),
@@ -551,9 +551,13 @@ class PlaySession:
 
     def finalize(self):
         """Write the manifest, final state, and report files."""
-        write_dataset_manifest(self.out_dir / "dataset", self.episodes)
-        (self.out_dir / STATE_FILE).write_text(
-            json.dumps(self.state_dict(), sort_keys=True))
+        manifest = {"tasks": self.success_counts,
+                    "episodes": [dict(e, task_id=t) for t in self.task_ids
+                                 for e in self.episodes[t]]}
+        _write_atomic(self.out_dir / "dataset" / "manifest.json",
+                      json.dumps(manifest, sort_keys=True, indent=2))
+        _write_atomic(self.out_dir / STATE_FILE,
+                      json.dumps(self.state_dict(), sort_keys=True))
         records = read_session_log(self.out_dir / LOG_FILE)
         write_report_files(self.out_dir, records, library=self.library)
         return self
@@ -596,43 +600,41 @@ def resume_session(checkpoint_path, iterations: int = None) -> PlaySession:
 # ---------------------------------------------------------------------------
 # dataset export
 
-def write_dataset_manifest(dataset_dir, episodes) -> dict:
-    dataset_dir = Path(dataset_dir)
-    dataset_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "tasks": {t: len(eps) for t, eps in sorted(episodes.items())},
-        "episodes": [dict(e, task_id=t) for t, eps in sorted(episodes.items())
-                     for e in eps],
-    }
-    (dataset_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2))
-    return manifest
-
-
 def export_success_dataset(session_dir, out_dir) -> dict:
-    """Copy the success-filtered episodes of a finished session into a
-    standalone dataset directory with a fresh manifest."""
-    session_dir = Path(session_dir)
+    """Copy the episodes and the manifest of a finished session's dataset
+    into a standalone dataset directory."""
+    dataset_dir = Path(session_dir) / "dataset"
     out_dir = Path(out_dir)
-    state = json.loads((session_dir / STATE_FILE).read_text())
-    episodes = state["episodes"]
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
     (out_dir / "episodes").mkdir(parents=True, exist_ok=True)
-    for eps in episodes.values():
-        for e in eps:
-            src = session_dir / "dataset" / e["file"]
-            (out_dir / e["file"]).write_bytes(src.read_bytes())
-    return write_dataset_manifest(out_dir, episodes)
+    for e in manifest["episodes"]:
+        shutil.copyfile(dataset_dir / e["file"], out_dir / e["file"])
+    _write_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2))
+    return manifest
 
 
 # ---------------------------------------------------------------------------
 # reports
 
-def read_session_log(path):
-    path = Path(path)
-    if not path.exists():
-        return []
-    return [json.loads(line) for line in path.read_text().splitlines()
-            if line.strip()]
+def read_session_log(path) -> list:
+    """The records of a session log. An unparsable last line is a record torn
+    by a crash mid-append and is dropped; any other line that is not a JSON
+    object is an OSError naming the file and the line."""
+    lines = Path(path).read_text().splitlines()
+    records = []
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            if n == len(lines):
+                break
+            raise OSError(f"{path} line {n} is not a log record: {e}") from e
+        if not isinstance(record, dict):
+            raise OSError(f"{path} line {n} is not a log record: not a JSON object")
+        records.append(record)
+    return records
 
 
 def convex_hull_area(points) -> float:
@@ -710,13 +712,10 @@ def write_report_files(out_dir, records, library: DemoLibrary = None):
         coverage = coverage_table(records, library)
         with open(out_dir / "coverage.csv", "w") as fh:
             fh.write("task,successes,play_hull_area,demo_hull_area\n")
-            total_play = total_demo = 0.0
             for task_id, n, play_area, demo_area in coverage:
                 fh.write(f"{task_id},{n},{play_area:.6f},{demo_area:.6f}\n")
-                total_play += play_area
-                total_demo += demo_area
-            fh.write(f"TOTAL,{sum(c[1] for c in coverage)},"
-                     f"{total_play:.6f},{total_demo:.6f}\n")
+            n, play_area, demo_area = (sum(row[i] for row in coverage) for i in (1, 2, 3))
+            fh.write(f"TOTAL,{n},{play_area:.6f},{demo_area:.6f}\n")
 
     attempts = sum(a for _, a, _, _ in tasks)
     successes = sum(s for _, _, s, _ in tasks)

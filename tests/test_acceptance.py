@@ -325,10 +325,13 @@ def test_determinism_and_resume(acceptance_library, noiseless, tmp_path_factory)
     for doc in (state_a, state_c):
         doc["config"]["out_dir"] = ""
     resumed_state = state_a == state_c
+    resumed_manifest = ((noiseless_out / "dataset" / "manifest.json").read_bytes()
+                        == (half_out / "dataset" / "manifest.json").read_bytes())
     criterion("determinism-and-resume",
-              same_seed and resumed_log and resumed_state,
+              same_seed and resumed_log and resumed_state and resumed_manifest,
               f"same-seed logs identical {same_seed}, resumed log identical "
-              f"{resumed_log}, resumed final state identical {resumed_state}")
+              f"{resumed_log}, resumed final state identical {resumed_state}, "
+              f"resumed manifest identical {resumed_manifest}")
 
 
 def test_dataset_export(noiseless):

@@ -1,5 +1,6 @@
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from keywarp.cli import main
 from keywarp.play import read_session_log, convex_hull_area
+from keywarp.tasks import builtin_tasks
 from oracle_utils import hull_area_monotone_chain
 
 
@@ -107,8 +109,8 @@ def test_play_report_export_roundtrip(cli_library, tmp_path):
     exp = tmp_path / "dataset"
     assert main(["export", "--session", str(out), "--out", str(exp)]) == 0
     manifest = json.loads((exp / "manifest.json").read_text())
-    state = json.loads((out / "session_state.json").read_text())
-    assert manifest["tasks"] == {t: len(e) for t, e in state["episodes"].items()}
+    succeeded = Counter(r["attempted_task"] for r in records if r["success"])
+    assert manifest["tasks"] == {t.id: succeeded[t.id] for t in builtin_tasks()}
 
 
 def test_play_resume_reproduces_report(cli_library, tmp_path):
@@ -323,17 +325,28 @@ def test_play_resume_rejects_session_flags(cli_session, capsys, flag):
     assert _tree_state(cli_session) == before
 
 
-def test_play_resume_checkpoint_without_a_key_exits_4(cli_session, tmp_path, capsys):
+@pytest.mark.parametrize("keys", [["world"], ["rng_state"], ["world", "gripper"],
+                                  ["world", "rng_state"], ["world", "params"],
+                                  ["world", "gripper", "riders"],
+                                  ["world", "objects", "pineapple", "upright"],
+                                  ["world", "objects", "bowl", "position"]],
+                         ids=".".join)
+def test_play_resume_checkpoint_without_a_key_exits_4(cli_session, tmp_path, capsys, keys):
     session = tmp_path / "s"
     shutil.copytree(cli_session, session)
     checkpoint = session / "checkpoints" / "ckpt_000010.json"
     doc = json.loads(checkpoint.read_text())
-    del doc["world"]
+    doc["config"]["out_dir"] = str(session)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
     checkpoint.write_text(json.dumps(doc))
-    assert main(["play", "--out", doc["config"]["out_dir"],
-                 "--resume", str(checkpoint)]) == 4
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--resume", str(checkpoint)]) == 4
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and "'world'" in err
+    assert str(checkpoint) in err and repr(keys[-1]) in err
+    assert _tree_state(session) == before
 
 
 def test_play_resume_unparsable_log_line_exits_4(cli_library, tmp_path, capsys):
@@ -349,6 +362,61 @@ def test_play_resume_unparsable_log_line_exits_4(cli_library, tmp_path, capsys):
     assert main(["play", "--out", str(out), "--iterations", "12",
                  "--resume", str(out / "checkpoints" / "ckpt_000010.json")]) == 4
     assert str(log) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["deleted", "short", "gap", "foreign demo"])
+def test_play_resume_without_the_checkpoints_records_exits_4(cli_session, tmp_path,
+                                                             capsys, damage):
+    """The statistics of a resumed session come from log records 1..N of
+    checkpoint N; a log that cannot give them all is an I/O error naming it."""
+    session = tmp_path / "s"
+    shutil.copytree(cli_session, session)
+    checkpoint = session / "checkpoints" / "ckpt_000010.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["config"]["out_dir"] = str(session)
+    checkpoint.write_text(json.dumps(doc))
+    log = session / "session_log.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    if damage == "deleted":
+        log.unlink()
+    elif damage == "short":
+        log.write_text("".join(lines[:9]))
+    elif damage == "gap":
+        log.write_text("".join(lines[:4] + lines[5:]))
+    else:
+        executed = next(i for i, l in enumerate(lines) if json.loads(l)["executed"])
+        lines[executed] = json.dumps(dict(json.loads(lines[executed]),
+                                          selected_demo="nope")) + "\n"
+        log.write_text("".join(lines))
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--iterations", "12",
+                 "--resume", str(checkpoint)]) == 4
+    assert str(log) in capsys.readouterr().err
+    assert _tree_state(session) == before
+
+
+def test_report_drops_a_torn_last_line(cli_session, tmp_path, capsys):
+    """A crash mid-append tears the last record; the report covers the
+    complete records before it."""
+    lines = (cli_session / "session_log.jsonl").read_text().splitlines(keepends=True)
+    torn, whole = tmp_path / "torn.jsonl", tmp_path / "whole.jsonl"
+    torn.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    whole.write_text("".join(lines[:-1]))
+    for log in (torn, whole):
+        assert main(["report", "--log", str(log), "--out", str(tmp_path / log.stem)]) == 0
+    assert "report for 9 iterations" in capsys.readouterr().out
+    for table in ("tasks.csv", "arms.csv"):
+        assert (tmp_path / "torn" / table).read_bytes() == \
+            (tmp_path / "whole" / table).read_bytes()
+
+
+def test_report_unparsable_line_before_the_last_exits_4(cli_session, tmp_path, capsys):
+    lines = (cli_session / "session_log.jsonl").read_text().splitlines(keepends=True)
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(lines[:5] + ["not a record\n"] + lines[5:]))
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "rep")]) == 4
+    assert f"{log} line 6" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_play_resume_truncated_checkpoint_exits_4(cli_library, tmp_path, capsys):

@@ -1,7 +1,9 @@
+import errno
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,14 +193,52 @@ def test_checkpoint_resume_matches_uninterrupted(library_dir, tmp_path):
                                checkpoint_every=20, pixel_noise_sigma=1.0))
     resumed = resume_session(tmp_path / "half" / "checkpoints" /
                              "ckpt_000020.json", iterations=60)
-    log_full = (tmp_path / "full" / "session_log.jsonl").read_bytes()
-    log_res = (tmp_path / "half" / "session_log.jsonl").read_bytes()
-    assert log_full == log_res
+    for artifact in ("session_log.jsonl", "dataset/manifest.json", "arms.csv"):
+        assert (tmp_path / "full" / artifact).read_bytes() == \
+            (tmp_path / "half" / artifact).read_bytes(), artifact
     sf = json.loads((tmp_path / "full" / "session_state.json").read_text())
     sr = json.loads((tmp_path / "half" / "session_state.json").read_text())
     for doc in (sf, sr):
         doc["config"]["out_dir"] = ""
     assert sf == sr
+    for stat in ("arms", "episodes", "interventions", "success_counts"):
+        assert getattr(full, stat) == getattr(resumed, stat), stat
+    assert any(a.pulls for arms in resumed.arms.values() for a in arms.values())
+
+
+def test_checkpoint_size_is_fixed(library_dir, tmp_path):
+    """A checkpoint holds only what the log cannot give, so its size does
+    not grow with the session."""
+    run_session(session_config(library_dir, tmp_path / "s", iterations=60,
+                               checkpoint_every=20, pixel_noise_sigma=1.0))
+    ckpts = tmp_path / "s" / "checkpoints"
+    doc = json.loads((ckpts / "ckpt_000060.json").read_text())
+    assert set(doc) == {"iteration", "consecutive_failures", "rng_state", "world",
+                        "config"}
+    sizes = [(ckpts / f"ckpt_{i:06d}.json").stat().st_size for i in (20, 60)]
+    assert abs(sizes[1] - sizes[0]) < 300, sizes
+
+
+def test_failed_write_leaves_the_previous_file_whole(library_dir, tmp_path, monkeypatch):
+    """A write that fails before it completes (here a full disk) leaves the
+    previous checkpoint and manifest byte-identical and no partial file."""
+    session = run_session(session_config(library_dir, tmp_path / "s", iterations=10,
+                                         checkpoint_every=10))
+    before = {p: p.read_bytes() for p in sorted((tmp_path / "s").rglob("*")) if p.is_file()}
+
+    def full_disk(path, text, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    session.consecutive_failures += 1       # the next checkpoint differs
+    with pytest.raises(OSError):
+        session.save_checkpoint()
+    with pytest.raises(OSError):
+        session.finalize()
+    after = {p: p.read_bytes() for p in sorted((tmp_path / "s").rglob("*")) if p.is_file()}
+    assert after == before
 
 
 def test_resume_discards_records_past_the_checkpoint(library_dir, tmp_path):
