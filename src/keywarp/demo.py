@@ -3,13 +3,12 @@
 A demonstration is summarized once into (initial scene snapshot, 3-D
 waypoints at gripper-toggle frames, their pixel keypoints in both camera
 views, full action sequence); afterwards the raw recording can be thrown
-away. Summaries serialize to a stable JSON schema, one file per demo, with
-a directory-level index forming a demo library.
+away. Summaries serialize to a stable JSON schema, one file per demo; with
+one oracle sidecar per demo and an index they form a demo library.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -133,23 +132,9 @@ class SemanticScene:
 
 
 @dataclass(frozen=True)
-class ImageScene:
-    """Opaque per-view image blobs (for recordings made outside the simulator)."""
-
-    left: bytes
-    right: bytes
-    width: int
-    height: int
-
-    @property
-    def state_id(self) -> str:
-        return hashlib.blake2b(self.left + self.right, digest_size=12).hexdigest()
-
-
-@dataclass(frozen=True)
 class SceneSnapshot:
     rig: StereoRig
-    content: object   # SemanticScene | ImageScene
+    content: SemanticScene
 
     @property
     def state_id(self) -> str:
@@ -251,20 +236,13 @@ def rig_to_dict(rig: StereoRig):
     return {"left": _camera_to_dict(rig.left), "right": _camera_to_dict(rig.right)}
 
 
-def snapshot_content_to_dict(content):
-    if isinstance(content, SemanticScene):
-        return {"variant": "semantic",
-                "payload": {"state_id": content.state_id,
-                            "objects": {k: {"position": list(v.position),
-                                            "upright": v.upright}
-                                        for k, v in content.objects.items()},
-                            "anchors": {k: list(v) for k, v in content.anchors.items()}}}
-    if isinstance(content, ImageScene):
-        return {"variant": "images",
-                "payload": {"left": base64.b64encode(content.left).decode("ascii"),
-                            "right": base64.b64encode(content.right).decode("ascii"),
-                            "width": content.width, "height": content.height}}
-    raise TypeError(f"unknown snapshot content {type(content)!r}")
+def snapshot_content_to_dict(content: SemanticScene):
+    return {"variant": "semantic",
+            "payload": {"state_id": content.state_id,
+                        "objects": {k: {"position": list(v.position),
+                                        "upright": v.upright}
+                                    for k, v in content.objects.items()},
+                        "anchors": {k: list(v) for k, v in content.anchors.items()}}}
 
 
 def summary_to_dict(s: DemoSummary) -> dict:
@@ -364,29 +342,20 @@ def rig_from_probe(p: _Probe) -> StereoRig:
         p.fail(str(e))
 
 
-def snapshot_content_from_probe(p: _Probe):
+def snapshot_content_from_probe(p: _Probe) -> SemanticScene:
     variant = p.child("variant").string()
+    if variant != "semantic":
+        p.child("variant").fail(f"unknown variant {variant!r}")
     payload = p.child("payload")
-    if variant == "semantic":
-        objects = {}
-        for name in payload.child("objects").mapping():
-            op = payload.child("objects").child(name)
-            objects[name] = ObjectState(position=tuple(op.child("position").vector(3)),
-                                        upright=op.child("upright").boolean())
-        anchors = {name: tuple(payload.child("anchors").child(name).vector(3))
-                   for name in payload.child("anchors").mapping()}
-        return SemanticScene(objects=objects, anchors=anchors,
-                             state_id=payload.child("state_id").string())
-    if variant == "images":
-        try:
-            left = base64.b64decode(payload.child("left").string(), validate=True)
-            right = base64.b64decode(payload.child("right").string(), validate=True)
-        except Exception:
-            payload.fail("invalid base64 image payload")
-        return ImageScene(left=left, right=right,
-                          width=payload.child("width").integer(),
-                          height=payload.child("height").integer())
-    p.child("variant").fail(f"unknown variant {variant!r}")
+    objects = {}
+    for name in payload.child("objects").mapping():
+        op = payload.child("objects").child(name)
+        objects[name] = ObjectState(position=tuple(op.child("position").vector(3)),
+                                    upright=op.child("upright").boolean())
+    anchors = {name: tuple(payload.child("anchors").child(name).vector(3))
+               for name in payload.child("anchors").mapping()}
+    return SemanticScene(objects=objects, anchors=anchors,
+                         state_id=payload.child("state_id").string())
 
 
 def parse_action_rows(p: _Probe) -> np.ndarray:
@@ -433,21 +402,16 @@ def decode_summary(data: bytes) -> DemoSummary:
 INDEX_FILE = "index.json"
 
 
-def save_demo_library(directory, summaries, sidecars=None):
-    """Write demo files and the index; optional per-demo sidecar documents."""
+def save_demo_library(directory, summaries, sidecars):
+    """Write each demo's summary and sidecar document, and the index."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for s in summaries:
-        fname = f"{s.id}.json"
+        fname, side = f"{s.id}.json", f"{s.id}.sidecar.json"
         (directory / fname).write_bytes(encode_summary(s))
-        entry = {"id": s.id, "task_id": s.task_id, "file": fname}
-        if sidecars and s.id in sidecars:
-            side = f"{s.id}.sidecar.json"
-            (directory / side).write_text(
-                json.dumps(sidecars[s.id], sort_keys=True, indent=2))
-            entry["sidecar"] = side
-        entries.append(entry)
+        (directory / side).write_text(json.dumps(sidecars[s.id], sort_keys=True, indent=2))
+        entries.append({"id": s.id, "task_id": s.task_id, "file": fname, "sidecar": side})
     index = {"tasks": sorted({s.task_id for s in summaries}),
              "demos": sorted(entries, key=lambda e: e["id"])}
     (directory / INDEX_FILE).write_text(json.dumps(index, sort_keys=True, indent=2))

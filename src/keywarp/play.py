@@ -158,25 +158,23 @@ class RemoteEvaluator:
 
 def verify_by_correspondence(matcher: MatcherInterface, demo: DemoSummary,
                              final_obs: SceneSnapshot, executed_gripper,
-                             threshold: float = 0.10,
-                             source_snapshot: SceneSnapshot = None):
+                             demo_final: SceneSnapshot,
+                             threshold: float = 0.10):
     """Correspondence-based success double-check.
 
     The demo's final keypoint is matched from each view into the final
     observation; the executed gripper position must lie within `threshold`
-    of both matched rays. `source_snapshot` is the demo's final-frame
-    snapshot when available (there the keypoint sits on the manipulated
-    object, so the match tracks where the object actually ended up); it
-    falls back to the demo's initial frame.
+    of both matched rays. `demo_final` is the demo's final-frame
+    snapshot, where the keypoint sits on the manipulated object, so the
+    match tracks where the object actually ended up.
 
     Returns (passed, per-view distances); a failed match fails the check.
     """
-    src = source_snapshot if source_snapshot is not None else demo.snapshot
     t = demo.num_waypoints - 1
     distances = {}
     passed = True
     for view in ("left", "right"):
-        m = matcher.match(src, final_obs, demo.keypoints[view][t], view, view)
+        m = matcher.match(demo_final, final_obs, demo.keypoints[view][t], view, view)
         if m is None:
             distances[view] = None
             passed = False
@@ -278,8 +276,9 @@ def _write_atomic(path: Path, text: str):
 
 
 def _read_checkpoint(path) -> dict:
-    """A checkpoint's document; OSError naming the file when it is truncated
-    or lacks one of the keys `PlaySession.state_dict` writes."""
+    """A checkpoint's document; OSError naming the file when it is truncated,
+    lacks a key `PlaySession.state_dict` writes (in its config too), or holds
+    an `iteration` or `consecutive_failures` that is not an integer."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -287,6 +286,12 @@ def _read_checkpoint(path) -> dict:
     for key in ("iteration", "consecutive_failures", "rng_state", "world", "config"):
         if not isinstance(doc, dict) or key not in doc:
             raise OSError(f"{path} is not a complete checkpoint: missing key {key!r}")
+    for f in fields(SessionConfig):
+        if isinstance(doc["config"], dict) and f.name not in doc["config"]:
+            raise OSError(f"{path} is not a complete checkpoint: missing config key {f.name!r}")
+    for key in ("iteration", "consecutive_failures"):
+        if type(doc[key]) is not int:
+            raise OSError(f"{path} is not a complete checkpoint: {key!r} is not an integer")
     return doc
 
 
@@ -442,7 +447,7 @@ class PlaySession:
         record["candidates"] = candidates
         outcomes = [match_demo(self.matcher, self.library.demos[d], obs,
                                self.cfg.filters,
-                               self.library.demo_side_distances.get(d))
+                               self.library.demo_side_distances[d])
                     for d in candidates]
         record["matches"] = [_match_summary(o) for o in outcomes]
 
@@ -482,8 +487,8 @@ class PlaySession:
             boundary = int(plan.segment_boundaries[-1])
             ok_verify, dists = verify_by_correspondence(
                 self.matcher, demo, final_obs, trace.positions[boundary],
-                threshold=self.cfg.verification_threshold,
-                source_snapshot=self.library.final_snapshots.get(demo_id))
+                self.library.final_snapshots[demo_id],
+                threshold=self.cfg.verification_threshold)
             record["verification"] = {"passed": ok_verify, "distances": dists}
         success = ok_eval and ok_verify
         record["success"] = success

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -138,12 +138,8 @@ def layout_from_dict(doc: dict) -> Layout:
                                       is_container=op.child("is_container").boolean(),
                                       footprint=op.child("footprint").number(),
                                       interior_offset=op.child("interior_offset").number()))
-        kwargs = {}
-        for key in ("control_rate", "demo_region_scale", "release_margin",
-                    "approach_height", "release_clearance", "max_speed",
-                    "accel", "dwell_s"):
-            if key in doc:
-                kwargs[key] = p.child(key).number()
+        kwargs = {f.name: p.child(f.name).number() for f in fields(Layout)
+                  if f.default is not MISSING and f.name in doc}
         return Layout(table=regions["table"], shelf=regions["shelf"],
                       objects=tuple(objects), rig=rig_from_probe(p.child("rig")),
                       home=tuple(p.child("home").vector(3)),
@@ -204,8 +200,12 @@ class SimWorld:
         self.params = params
         self.rng = rng
         self.objects = objects   # id -> _ObjState
-        self.gripper_position = np.array(layout.home, dtype=float)
-        self.gripper_orientation = np.array(layout.home_orientation, dtype=float)
+        self.home_gripper()
+
+    def home_gripper(self):
+        """Open, empty-handed gripper at the layout's home pose."""
+        self.gripper_position = np.array(self.layout.home, dtype=float)
+        self.gripper_orientation = np.array(self.layout.home_orientation, dtype=float)
         self.gripper_closed = False
         self.attached = None
         self._rider_offsets = {}
@@ -242,6 +242,9 @@ class SimWorld:
         return world
 
 
+MIN_SEPARATION = 0.12   # m, least distance between two placed objects
+
+
 def _place_objects(layout: Layout, rng, slots, region_scale, min_separation) -> dict:
     slots = dict(slots or {})
     objects = {}
@@ -275,7 +278,8 @@ def _place_objects(layout: Layout, rng, slots, region_scale, min_separation) -> 
 
 
 def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
-                region_scale: float = 1.0, min_separation: float = 0.12) -> SimWorld:
+                region_scale: float = 1.0,
+                min_separation: float = MIN_SEPARATION) -> SimWorld:
     """Place every object uniformly at random inside its slot region.
 
     `slots` maps object id to its starting slot (defaults to the table);
@@ -288,18 +292,11 @@ def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
     return SimWorld(layout, params, rng, objects)
 
 
-def randomize_world(world: SimWorld, slots=None, min_separation: float = 0.12):
-    """Reset hook: re-place all objects (upright) using the world's own RNG
-    and return the gripper to home. Used when play needs an intervention."""
-    world.objects = _place_objects(world.layout, world.rng, slots, 1.0,
-                                   min_separation)
-    world.gripper_position = np.array(world.layout.home, dtype=float)
-    world.gripper_orientation = np.array(world.layout.home_orientation,
-                                         dtype=float)
-    world.gripper_closed = False
-    world.attached = None
-    world._rider_offsets = {}
-    return world
+def randomize_world(world: SimWorld):
+    """Intervention reset: re-place every object upright on the table with the
+    world's own RNG, and home the gripper."""
+    world.objects = _place_objects(world.layout, world.rng, None, 1.0, MIN_SEPARATION)
+    world.home_gripper()
 
 
 def snapshot(world: SimWorld) -> SceneSnapshot:
@@ -775,10 +772,13 @@ def generate_demo_library(layout: Layout, tasks, n: int = 10, seed: int = 0):
 
 
 class DemoLibrary:
-    """Demo summaries plus their oracle sidecars, loaded from a directory."""
+    """Demo summaries, each with its oracle sidecar, loaded from a directory."""
 
     def __init__(self, demos, sidecars, rig: StereoRig):
         self.demos = {d.id: d for d in demos}
+        unpaired = sorted(set(self.demos) ^ set(sidecars))
+        if unpaired:
+            raise ConfigError(f"demos without a sidecar or sidecars without a demo: {unpaired}")
         self.sidecars = sidecars
         self.task_ids = sorted({d.task_id for d in demos})
         self.by_task = {t: sorted(d.id for d in demos if d.task_id == t)
@@ -786,12 +786,10 @@ class DemoLibrary:
         self.demo_side_distances, self.final_snapshots = {}, {}
         for demo_id, side in sidecars.items():
             p = _Probe(side, f"sidecar[{demo_id}]")
-            initial = p.child("initial")
-            if "cross_view_distances" in initial.mapping():
-                distances = initial.child("cross_view_distances")
-                self.demo_side_distances[demo_id] = {
-                    v: np.array([x.number() for x in distances.child(v).array()])
-                    for v in ("left", "right")}
+            distances = p.child("initial").child("cross_view_distances")
+            self.demo_side_distances[demo_id] = {
+                v: np.array([x.number() for x in distances.child(v).array()])
+                for v in ("left", "right")}
             self.final_snapshots[demo_id] = SceneSnapshot(
                 rig=rig, content=snapshot_content_from_probe(
                     p.child("final").child("scene")))
@@ -804,9 +802,8 @@ class DemoLibrary:
         for entry in _Probe(read_json(path), str(path)).child("demos").array():
             demos.append(decode_summary(
                 (directory / entry.child("file").string()).read_bytes()))
-            if "sidecar" in entry.mapping():
-                sidecars[entry.child("id").string()] = read_json(
-                    directory / entry.child("sidecar").string())
+            sidecars[entry.child("id").string()] = read_json(
+                directory / entry.child("sidecar").string())
         if not demos:
             raise ConfigError(f"demo library at {directory} is empty")
         return DemoLibrary(demos, sidecars, demos[0].snapshot.rig)

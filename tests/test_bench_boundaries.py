@@ -33,3 +33,21 @@ def test_every_traced_boundary_is_defined_where_it_is_wrapped():
     missing = [f"{owner}.{attr}" for owner, attr in boundaries
                if attr not in vars(_resolve(owner))]
     assert not missing
+
+
+def test_every_boundary_wrapped_at_an_import_site_is_called_there():
+    """A wrapper on an imported name times only the importing module's own
+    calls, so a module that keeps the import but no longer calls the name
+    would leave its span silently empty in the traced run."""
+    unused = []
+    for owner, attr in _traced_boundaries():
+        if "." in owner:   # class attributes are reached through their instances
+            continue
+        nodes = list(ast.walk(ast.parse(Path(_resolve(owner).__file__).read_text())))
+        imported = any(isinstance(n, ast.ImportFrom)
+                       and attr in (a.asname or a.name for a in n.names) for n in nodes)
+        called = any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == attr
+                     for n in nodes)
+        if imported and not called:
+            unused.append(f"{owner}.{attr}")
+    assert not unused

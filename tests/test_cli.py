@@ -272,8 +272,28 @@ def _sidecar_without_initial(lib):
     return f"sidecar[{entry['id']}]: missing key 'initial'"
 
 
-@pytest.mark.parametrize("break_library", [_index_without_demos, _sidecar_without_initial],
-                         ids=["index-without-demos", "sidecar-without-initial"])
+def _index_without_sidecar(lib):
+    index = json.loads((lib / "index.json").read_text())
+    for entry in index["demos"]:
+        del entry["sidecar"]
+    (lib / "index.json").write_text(json.dumps(index))
+    return f"{lib / 'index.json'}.demos[0]: missing key 'sidecar'"
+
+
+def _sidecar_without_cross_view_distances(lib):
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    side = json.loads((lib / entry["sidecar"]).read_text())
+    del side["initial"]["cross_view_distances"]
+    (lib / entry["sidecar"]).write_text(json.dumps(side))
+    return f"sidecar[{entry['id']}].initial: missing key 'cross_view_distances'"
+
+
+@pytest.mark.parametrize("break_library", [_index_without_demos, _sidecar_without_initial,
+                                           _index_without_sidecar,
+                                           _sidecar_without_cross_view_distances],
+                         ids=["index-without-demos", "sidecar-without-initial",
+                              "index-without-sidecar",
+                              "sidecar-without-cross-view-distances"])
 @pytest.mark.parametrize("command", [["play", "--iterations", "1"],
                                      ["warp", "--task", "pineapple_table_to_shelf"]],
                          ids=["play", "warp"])
@@ -293,6 +313,20 @@ def cli_session(cli_library, tmp_path_factory):
     assert main(["play", "--demos", str(cli_library), "--out", str(out),
                  "--iterations", "10"]) == 0
     return out
+
+
+def _session_copy(cli_session, tmp_path, edit_checkpoint=lambda doc: None):
+    """A copy of `cli_session` whose last checkpoint names the copy's
+    directory and is edited in place by `edit_checkpoint`; returns the
+    copy's directory and that checkpoint's path."""
+    session = tmp_path / "s"
+    shutil.copytree(cli_session, session)
+    checkpoint = session / "checkpoints" / "ckpt_000010.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["config"]["out_dir"] = str(session)
+    edit_checkpoint(doc)
+    checkpoint.write_text(json.dumps(doc))
+    return session, checkpoint
 
 
 def _tree_state(directory):
@@ -329,23 +363,34 @@ def test_play_resume_rejects_session_flags(cli_session, capsys, flag):
                                   ["world", "rng_state"], ["world", "params"],
                                   ["world", "gripper", "riders"],
                                   ["world", "objects", "pineapple", "upright"],
-                                  ["world", "objects", "bowl", "position"]],
+                                  ["world", "objects", "bowl", "position"],
+                                  ["config", "seed"]],
                          ids=".".join)
 def test_play_resume_checkpoint_without_a_key_exits_4(cli_session, tmp_path, capsys, keys):
-    session = tmp_path / "s"
-    shutil.copytree(cli_session, session)
-    checkpoint = session / "checkpoints" / "ckpt_000010.json"
-    doc = json.loads(checkpoint.read_text())
-    doc["config"]["out_dir"] = str(session)
-    parent = doc
-    for key in keys[:-1]:
-        parent = parent[key]
-    del parent[keys[-1]]
-    checkpoint.write_text(json.dumps(doc))
+    def drop(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+
+    session, checkpoint = _session_copy(cli_session, tmp_path, drop)
     before = _tree_state(session)
     assert main(["play", "--out", str(session), "--resume", str(checkpoint)]) == 4
     err = capsys.readouterr().err
     assert str(checkpoint) in err and repr(keys[-1]) in err
+    assert _tree_state(session) == before
+
+
+@pytest.mark.parametrize("value", ["10", True], ids=repr)
+@pytest.mark.parametrize("key", ["iteration", "consecutive_failures"])
+def test_play_resume_checkpoint_with_a_non_integer_counter_exits_4(cli_session, tmp_path,
+                                                                  capsys, key, value):
+    session, checkpoint = _session_copy(cli_session, tmp_path,
+                                        lambda doc: doc.update({key: value}))
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--iterations", "12",
+                 "--resume", str(checkpoint)]) == 4
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and repr(key) in err
     assert _tree_state(session) == before
 
 
@@ -369,12 +414,7 @@ def test_play_resume_without_the_checkpoints_records_exits_4(cli_session, tmp_pa
                                                              capsys, damage):
     """The statistics of a resumed session come from log records 1..N of
     checkpoint N; a log that cannot give them all is an I/O error naming it."""
-    session = tmp_path / "s"
-    shutil.copytree(cli_session, session)
-    checkpoint = session / "checkpoints" / "ckpt_000010.json"
-    doc = json.loads(checkpoint.read_text())
-    doc["config"]["out_dir"] = str(session)
-    checkpoint.write_text(json.dumps(doc))
+    session, checkpoint = _session_copy(cli_session, tmp_path)
     log = session / "session_log.jsonl"
     lines = log.read_text().splitlines(keepends=True)
     if damage == "deleted":

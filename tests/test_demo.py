@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keywarp.demo import (ImageScene, NoWaypoints, SceneSnapshot,
+from keywarp.demo import (ConfigError, NoWaypoints, SceneSnapshot,
                           SchemaError, SemanticScene, Trajectory,
                           decode_summary, encode_summary, extract_waypoints,
                           save_demo_library, summarize_demo,
@@ -106,20 +106,6 @@ def test_roundtrip_is_field_exact(library):
         assert np.array_equal(clone.actions.actions, demo.actions.actions)
 
 
-def test_image_scene_roundtrip(layout):
-    bits = [0, 1]
-    positions = np.tile([0.45, 0.0, 0.1], (2, 1))
-    quats = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
-    traj = trajectory_from_parts(positions, quats, np.array(bits, float))
-    content = ImageScene(left=b"left-bytes", right=b"right-bytes",
-                         width=640, height=480)
-    snap = SceneSnapshot(rig=layout.rig, content=content)
-    demo = summarize_demo(traj, snap, "task", "img-demo")
-    clone = decode_summary(encode_summary(demo))
-    assert clone.snapshot.content.left == b"left-bytes"
-    assert clone.snapshot.content.width == 640
-
-
 def test_truncated_bytes_raise_schema_error(library):
     payload = encode_summary(next(iter(library.demos.values())))
     with pytest.raises(SchemaError):
@@ -133,6 +119,13 @@ def test_schema_error_names_the_field(library):
         decode_summary(json.dumps(doc).encode())
     del doc["actions"]
     with pytest.raises(SchemaError, match="actions"):
+        decode_summary(json.dumps(doc).encode())
+
+
+def test_snapshot_variant_other_than_semantic_is_a_schema_error(library):
+    doc = json.loads(encode_summary(next(iter(library.demos.values()))))
+    doc["snapshot"]["variant"] = "images"
+    with pytest.raises(SchemaError, match=r"snapshot\.variant: unknown variant 'images'"):
         decode_summary(json.dumps(doc).encode())
 
 
@@ -151,7 +144,7 @@ def test_golden_file_decodes_and_reencodes():
                         "waypoint_indices", "waypoints", "keypoints", "actions"}
     assert set(doc["rig"]) == {"left", "right"}
     assert set(doc["keypoints"]) == {"left", "right"}
-    assert doc["snapshot"]["variant"] in {"semantic", "images"}
+    assert doc["snapshot"]["variant"] == "semantic"
     assert all(len(row) == 8 for row in doc["actions"])
     summary = decode_summary(payload)
     assert summary.num_waypoints == len(doc["waypoint_indices"]) == 2
@@ -161,10 +154,21 @@ def test_golden_file_decodes_and_reencodes():
 
 def test_library_save_load_roundtrip(tmp_path, library):
     demos = sorted(library.demos.values(), key=lambda d: d.id)[:4]
-    save_demo_library(tmp_path / "lib", demos)
-    loaded = list(DemoLibrary.load(tmp_path / "lib").demos.values())
-    assert [d.id for d in loaded] == [d.id for d in demos]
-    assert all(a == b for a, b in zip(loaded, demos))
+    save_demo_library(tmp_path / "lib", demos, library.sidecars)
+    loaded = DemoLibrary.load(tmp_path / "lib")
+    assert [d.id for d in loaded.demos.values()] == [d.id for d in demos]
+    assert all(a == b for a, b in zip(loaded.demos.values(), demos))
+    assert loaded.sidecars == {d.id: library.sidecars[d.id] for d in demos}
+
+
+def test_library_needs_one_sidecar_per_demo(library, layout):
+    demos = sorted(library.demos.values(), key=lambda d: d.id)[:2]
+    sidecars = {d.id: library.sidecars[d.id] for d in demos}
+    lone = sidecars.pop(demos[0].id)
+    with pytest.raises(ConfigError, match=demos[0].id):
+        DemoLibrary(demos, sidecars, layout.rig)
+    with pytest.raises(ConfigError, match="extra"):
+        DemoLibrary(demos[1:], dict(sidecars, extra=lone), layout.rig)
 
 
 def test_trajectory_validation():

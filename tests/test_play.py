@@ -121,7 +121,7 @@ def test_verification_passes_on_exact_gripper(library, clean_oracle):
     release = demo.waypoints[-1]
     passed, dists = verify_by_correspondence(
         clean_oracle, demo, final_snap, release,
-        source_snapshot=final_snap)
+        demo_final=final_snap)
     assert passed
     assert all(d is not None and d < 1e-6 for d in dists.values())
 
@@ -132,7 +132,7 @@ def test_verification_fails_beyond_threshold(library, clean_oracle):
     final_snap = library.final_snapshots[demo_id]
     far = demo.waypoints[-1] + np.array([0.0, 0.0, 0.15])
     passed, dists = verify_by_correspondence(
-        clean_oracle, demo, final_snap, far, source_snapshot=final_snap)
+        clean_oracle, demo, final_snap, far, demo_final=final_snap)
     assert not passed
     assert any(d is not None and d > 0.10 for d in dists.values())
 
@@ -144,8 +144,9 @@ def test_verification_fails_on_no_match(library, clean_oracle):
 
     demo_id = library.by_task["pineapple_table_to_shelf"][0]
     demo = library.demos[demo_id]
+    final_snap = library.final_snapshots[demo_id]
     passed, dists = verify_by_correspondence(
-        Mute(), demo, library.final_snapshots[demo_id], demo.waypoints[-1])
+        Mute(), demo, final_snap, demo.waypoints[-1], demo_final=final_snap)
     assert not passed
     assert all(d is None for d in dists.values())
 
@@ -168,7 +169,7 @@ def test_verification_detects_dropped_object(library, clean_oracle, layout):
     boundary = int(plan.segment_boundaries[-1])
     passed, dists = verify_by_correspondence(
         clean_oracle, demo, final_obs, trace.positions[boundary],
-        source_snapshot=library.final_snapshots[demo_id])
+        demo_final=library.final_snapshots[demo_id])
     assert not passed
 
 
