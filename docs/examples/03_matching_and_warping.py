@@ -18,14 +18,16 @@ task = builtin_tasks()[0]                       # pineapple: table -> shelf
 
 demos, sidecars = generate_seed_demos(layout, task, n=5, seed=0)
 oracle = CorrespondenceOracle(OracleConfig(pixel_noise_sigma=0.5, seed=0))
-DemoLibrary(demos, sidecars, layout.rig).register_with(oracle)
+library = DemoLibrary(demos, sidecars, layout.rig)
+library.register_with(oracle)
 
 world = spawn_world(layout, seed=42, slots={task.obj: task.source})
 obs = snapshot(world)
 print("scene:", {k: np.round(v.position, 3).tolist()
                  for k, v in world.objects.items()})
 
-outcomes = [match_demo(oracle, d, obs, FilterConfig()) for d in demos]
+outcomes = [match_demo(oracle, d, obs, FilterConfig(), library.demo_side_distances[d.id])
+            for d in demos]
 print("\nper-demo match outcomes:")
 for o in outcomes:
     score = f"{o.score:.4f}" if o.feasible else "inf"

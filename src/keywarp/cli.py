@@ -1,23 +1,23 @@
 """Command-line entry points: gen-demos, warp, play, report, export.
 
 Exit codes: 0 success; 2 configuration error, including an out-of-range
-flag or config value, gen-demos --n below 1, a config, layout, library
-index or sidecar file that is not valid JSON, a library index or sidecar
-that lacks a field (every index entry names its demo's sidecar) or holds
-one of the wrong type (the message gives the field path), and a play
---resume given --config, --demos, --seed, --k, --sigma, --outlier-rate,
---residual-max or --gap-max, or an --out other than the checkpointed
-session's directory; 3 no feasible demo match; 4 I/O error, including a
-checkpoint given to --resume that is truncated, lacks a key (nested ones
-and config keys too) or holds a non-integer iteration or stall counter, a
-resumed session whose log is missing, lacks one of the checkpoint's
-iterations or names a task or demo outside the library, and a session log
-given to report or --resume with an unparsable line other than its last
-(a last line torn by a crash is dropped). A resumed session keeps its
-checkpointed config and rebuilds its statistics from the log; only
---iterations applies. All outputs land under --out; every subcommand is
-deterministic for a fixed seed (the report's generated_at header is the
-single timestamp anywhere).
+flag or config value, gen-demos --n below 1, a config, layout or library
+file that is not valid JSON, a missing library index, summary or sidecar,
+a library index or sidecar that lacks a field or holds one of the wrong
+type (the message gives the field path), and a play --resume given
+--config, --demos, --seed, --k, --sigma, --outlier-rate, --residual-max
+or --gap-max, or an --out other than the checkpointed session's
+directory; 3 no feasible demo match; 4 I/O error, including a checkpoint
+given to --resume that is truncated, lacks a key (nested ones and config
+keys too), or holds a non-integer iteration or stall counter or a config
+value of the wrong type or out of range, a resumed session whose log is
+missing, lacks one of the checkpoint's iterations or names a task or demo
+outside the library, and a session log given to report or --resume with
+an unparsable line other than its last (a last line torn by a crash is
+dropped). A resumed session keeps its checkpointed config and rebuilds
+its statistics from the log; only --iterations applies. All outputs land
+under --out; every subcommand is deterministic for a fixed seed (the
+report's generated_at header is the single timestamp anywhere).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def cmd_play(args) -> int:
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be given with --resume: "
                               "the session keeps its checkpointed config")
-        cfg = SessionConfig.from_dict(_read_checkpoint(args.resume)["config"])
+        _, cfg = _read_checkpoint(args.resume)
         if Path(args.out).resolve() != Path(cfg.out_dir).resolve():
             raise ConfigError(f"--out {args.out} is not the checkpointed session's "
                               f"directory {cfg.out_dir}")

@@ -93,21 +93,16 @@ def demo_cross_view_distances(matcher: MatcherInterface, demo: DemoSummary) -> d
 
 
 def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
-               cfg: FilterConfig = FilterConfig(),
-               demo_side_distances: dict = None) -> MatchOutcome:
+               cfg: FilterConfig, demo_side_distances: dict) -> MatchOutcome:
     """Match every demo keypoint into the observation and run both filters.
 
     Failures never raise; they are encoded as an infeasible outcome with
     score +inf. The score is computed only for feasible outcomes.
 
-    `demo_side_distances` optionally supplies the demo half of the
-    cross-view check as {view: (T,) distances}. The demo images never
-    change, so these can be computed once when the demo is summarized
-    (libraries store them alongside the demo); without them they are
-    computed here, with `demo_cross_view_distances`, before any match.
+    `demo_side_distances` is the demo half of the cross-view check as
+    {view: (T,) distances}. The demo never changes, so a library stores it
+    with each demo, computed once by `demo_cross_view_distances`.
     """
-    if demo_side_distances is None:
-        demo_side_distances = demo_cross_view_distances(matcher, demo)
     T = demo.num_waypoints
     kp_out = {v: np.full((T, 2), np.nan) for v in ("left", "right")}
     w_out = np.full((T, 3), np.nan)

@@ -411,9 +411,8 @@ def save_demo_library(directory, summaries, sidecars):
         fname, side = f"{s.id}.json", f"{s.id}.sidecar.json"
         (directory / fname).write_bytes(encode_summary(s))
         (directory / side).write_text(json.dumps(sidecars[s.id], sort_keys=True, indent=2))
-        entries.append({"id": s.id, "task_id": s.task_id, "file": fname, "sidecar": side})
-    index = {"tasks": sorted({s.task_id for s in summaries}),
-             "demos": sorted(entries, key=lambda e: e["id"])}
+        entries.append({"id": s.id, "file": fname, "sidecar": side})
+    index = {"demos": sorted(entries, key=lambda e: e["id"])}
     (directory / INDEX_FILE).write_text(json.dumps(index, sort_keys=True, indent=2))
 
 

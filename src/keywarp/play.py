@@ -275,10 +275,11 @@ def _write_atomic(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _read_checkpoint(path) -> dict:
-    """A checkpoint's document; OSError naming the file when it is truncated,
-    lacks a key `PlaySession.state_dict` writes (in its config too), or holds
-    an `iteration` or `consecutive_failures` that is not an integer."""
+def _read_checkpoint(path) -> tuple:
+    """A checkpoint's document and session config; OSError naming the file
+    when it is truncated, lacks a key `PlaySession.state_dict` writes (in its
+    config too), or holds a non-integer `iteration` or `consecutive_failures`
+    or a config value of the wrong type or out of range."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -292,7 +293,10 @@ def _read_checkpoint(path) -> dict:
     for key in ("iteration", "consecutive_failures"):
         if type(doc[key]) is not int:
             raise OSError(f"{path} is not a complete checkpoint: {key!r} is not an integer")
-    return doc
+    try:
+        return doc, SessionConfig.from_dict(doc["config"])
+    except ConfigError as e:
+        raise OSError(f"{path} holds a bad config: {e}") from e
 
 
 class PlaySession:
@@ -305,10 +309,7 @@ class PlaySession:
         oracle, world spawned from the seed, output directories made."""
         self.cfg = cfg
         self.layout = layout_from_dict(cfg.layout) if cfg.layout else default_layout()
-        try:
-            self.library = DemoLibrary.load(cfg.demo_library)
-        except FileNotFoundError as e:
-            raise ConfigError(f"cannot load demo library: {e}") from e
+        self.library = DemoLibrary.load(cfg.demo_library)
         self.matcher = CorrespondenceOracle(cfg.oracle)
         self.library.register_with(self.matcher)
         tasks = [t for t in builtin_tasks() if t.id in self.library.task_ids]
@@ -347,10 +348,11 @@ class PlaySession:
         records 1..N and later records dropped. OSError naming the file when
         the checkpoint is incomplete, or the log is missing, lacks one of
         records 1..N or names a task or demo outside the library."""
-        doc = _read_checkpoint(checkpoint_path)
-        session = cls(SessionConfig.from_dict(doc["config"]))
+        doc, cfg = _read_checkpoint(checkpoint_path)
+        session = cls(cfg)
         try:
-            session.world = SimWorld.from_state_dict(session.layout, doc["world"])
+            session.world = SimWorld.from_state_dict(session.layout, session.world.params,
+                                                     doc["world"])
             session.rng.bit_generator.state = doc["rng_state"]
         except (KeyError, TypeError, ValueError) as e:
             raise OSError(f"{checkpoint_path} is not a complete checkpoint: {e!r}") from e

@@ -220,12 +220,10 @@ class SimWorld:
                         "attached": self.attached,
                         "riders": {k: v.tolist() for k, v in self._rider_offsets.items()}},
             "rng_state": self.rng.bit_generator.state,
-            "params": asdict(self.params),
         }
 
     @staticmethod
-    def from_state_dict(layout: Layout, doc: dict) -> "SimWorld":
-        params = WorldParams(**doc["params"])
+    def from_state_dict(layout: Layout, params: WorldParams, doc: dict) -> "SimWorld":
         rng = np.random.default_rng(0)
         rng.bit_generator.state = doc["rng_state"]
         objects = {k: _ObjState(position=np.array(v["position"], dtype=float),
@@ -491,10 +489,8 @@ class CorrespondenceOracle:
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
     outlier pixels are memoized as unresolvable. Registered annotations are
-    permanent, and so are memoized matches into a registered state. The
-    rest of the memo is bounded: it holds the matches into one unregistered
-    state (the current observation) and drops them when a match into
-    another unregistered state is memoized.
+    permanent. The memo holds the matches into one state (the current
+    observation) and drops them when a match into another state is memoized.
 
     A query resolves only through the annotation at exactly its pixel,
     bit for bit: registered annotations before memoized matches, and the
@@ -505,9 +501,8 @@ class CorrespondenceOracle:
     def __init__(self, config: OracleConfig = None):
         self.config = config or OracleConfig()
         self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
-        self._registered = set()   # state ids with registered annotations
         self._memo = {}          # state_id -> view -> {pixel: (anchor|None, offset)}
-        self._memo_state = None  # the one unregistered state in the memo
+        self._memo_state = None  # the one state in the memo
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
@@ -515,12 +510,9 @@ class CorrespondenceOracle:
         pixel = tuple(map(float, pixel))
         offset = None if offset is None else tuple(map(float, offset))
         self._annotations.setdefault((state_id, view, pixel), (anchor, offset))
-        self._registered.add(state_id)
-        if state_id == self._memo_state:
-            self._memo_state = None   # its memo is now kept for good
 
     def _memoize(self, state_id, view, pixel, anchor, offset):
-        if state_id not in self._registered and state_id != self._memo_state:
+        if state_id != self._memo_state:
             self._memo.pop(self._memo_state, None)
             self._memo_state = state_id
         self._memo.setdefault(state_id, {}).setdefault(view, {}).setdefault(
@@ -722,7 +714,6 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
         if symbolic_state(world).slot_of(task.obj) != task.dest:
             raise RuntimeError(f"scripted demo {demo_id!r} did not reach "
                                f"{task.dest!r}; layout is inconsistent")
-        final_obs = snapshot(world)
         obj_final = world.objects[task.obj].position
 
         grasp_offset = np.asarray(layout.object_spec(task.obj).grasp_offset)
@@ -739,9 +730,8 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
                                  "anchor": task.obj,
                                  "offset": (rp - obj_final).tolist()})
 
-        # The demo half of the cross-view consistency check never changes
-        # (the demo frames are fixed), so it is computed once here with a
-        # clean matcher and stored with the demo.
+        # The demo half of the cross-view check never changes (the demo frames
+        # are fixed), so it is computed once here, with a clean matcher.
         probe = CorrespondenceOracle(OracleConfig())
         for a in initial_annots:
             probe.register_annotation(obs.state_id, a["view"], a["pixel"],
@@ -749,12 +739,8 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
         demo_side = demo_cross_view_distances(probe, summary)
 
         sidecars[demo_id] = {
-            "demo_id": demo_id,
-            "task_id": task.id,
-            "initial": {"state_id": obs.state_id, "annotations": initial_annots,
-                        "cross_view_distances": demo_side},
-            "final": {"state_id": final_obs.state_id,
-                      "scene": snapshot_content_to_dict(final_obs.content),
+            "initial": {"annotations": initial_annots, "cross_view_distances": demo_side},
+            "final": {"scene": snapshot_content_to_dict(snapshot(world).content),
                       "annotations": final_annots},
         }
         summaries.append(summary)
@@ -783,38 +769,41 @@ class DemoLibrary:
         self.task_ids = sorted({d.task_id for d in demos})
         self.by_task = {t: sorted(d.id for d in demos if d.task_id == t)
                         for t in self.task_ids}
-        self.demo_side_distances, self.final_snapshots = {}, {}
+        # annotations: (state_id, view, pixel, anchor, offset), for register_with
+        self.demo_side_distances, self.final_snapshots, self.annotations = {}, {}, []
         for demo_id, side in sidecars.items():
             p = _Probe(side, f"sidecar[{demo_id}]")
-            distances = p.child("initial").child("cross_view_distances")
+            initial, final = p.child("initial"), p.child("final")
+            distances = initial.child("cross_view_distances")
             self.demo_side_distances[demo_id] = {
                 v: np.array([x.number() for x in distances.child(v).array()])
                 for v in ("left", "right")}
             self.final_snapshots[demo_id] = SceneSnapshot(
-                rig=rig, content=snapshot_content_from_probe(
-                    p.child("final").child("scene")))
+                rig=rig, content=snapshot_content_from_probe(final.child("scene")))
+            for snap, block in ((self.demos[demo_id].snapshot, initial),
+                                (self.final_snapshots[demo_id], final)):
+                self.annotations += [
+                    (snap.state_id, a.child("view").string(), a.child("pixel").vector(2),
+                     a.child("anchor").string(), a.child("offset").vector(3))
+                    for a in block.child("annotations").array()]
 
     @staticmethod
     def load(directory) -> "DemoLibrary":
         directory = Path(directory)
         path = directory / INDEX_FILE
         demos, sidecars = [], {}
-        for entry in _Probe(read_json(path), str(path)).child("demos").array():
-            demos.append(decode_summary(
-                (directory / entry.child("file").string()).read_bytes()))
-            sidecars[entry.child("id").string()] = read_json(
-                directory / entry.child("sidecar").string())
+        try:
+            for entry in _Probe(read_json(path), str(path)).child("demos").array():
+                demos.append(decode_summary(
+                    (directory / entry.child("file").string()).read_bytes()))
+                sidecars[entry.child("id").string()] = read_json(
+                    directory / entry.child("sidecar").string())
+        except FileNotFoundError as e:
+            raise ConfigError(f"demo library file {e.filename} is missing") from e
         if not demos:
             raise ConfigError(f"demo library at {directory} is empty")
         return DemoLibrary(demos, sidecars, demos[0].snapshot.rig)
 
     def register_with(self, oracle: CorrespondenceOracle):
-        for demo_id, side in self.sidecars.items():
-            p = _Probe(side, f"sidecar[{demo_id}]")
-            for block in ("initial", "final"):
-                state_id = p.child(block).child("state_id").string()
-                for a in p.child(block).child("annotations").array():
-                    oracle.register_annotation(
-                        state_id, a.child("view").string(),
-                        a.child("pixel").vector(2), a.child("anchor").string(),
-                        a.child("offset").vector(3))
+        for annotation in self.annotations:
+            oracle.register_annotation(*annotation)

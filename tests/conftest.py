@@ -42,3 +42,23 @@ def make_oracle(library, **kwargs):
     oracle = CorrespondenceOracle(OracleConfig(**kwargs))
     library.register_with(oracle)
     return oracle
+
+
+def json_key_paths(doc, names=(), path=()):
+    """The path of every key in a JSON document, except the keys of the
+    name-keyed maps in `names` (whose values are still walked)."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if not (path and path[-1] in names):
+                yield path + (key,)
+            yield from json_key_paths(value, names, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from json_key_paths(value, names, path + (i,))
+
+
+def drop_key(doc, path):
+    """Delete the key at `path` from a JSON document, in place."""
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]

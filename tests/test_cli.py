@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import drop_key, json_key_paths
 from keywarp.cli import main
 from keywarp.play import read_session_log, convex_hull_area
 from keywarp.tasks import builtin_tasks
@@ -20,8 +21,9 @@ def test_gen_demos_counts_and_index(tmp_path):
     out = tmp_path / "demos"
     assert main(["gen-demos", "--out", str(out), "--n", "10", "--seed", "1"]) == 0
     index = json.loads((out / "index.json").read_text())
-    assert len(index["tasks"]) == 6
     assert len(index["demos"]) == 60
+    tasks = {json.loads((out / e["file"]).read_text())["task_id"] for e in index["demos"]}
+    assert tasks == {t.id for t in builtin_tasks()}
     demo_files = [f for f in _files(out, "*.json")
                   if not f.endswith("sidecar.json") and f != "index.json"]
     assert len(demo_files) == 60
@@ -288,12 +290,20 @@ def _sidecar_without_cross_view_distances(lib):
     return f"sidecar[{entry['id']}].initial: missing key 'cross_view_distances'"
 
 
+def _sidecar_file_deleted(lib):
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    (lib / entry["sidecar"]).unlink()
+    return f"{lib / entry['sidecar']} is missing"
+
+
 @pytest.mark.parametrize("break_library", [_index_without_demos, _sidecar_without_initial,
                                            _index_without_sidecar,
-                                           _sidecar_without_cross_view_distances],
+                                           _sidecar_without_cross_view_distances,
+                                           _sidecar_file_deleted],
                          ids=["index-without-demos", "sidecar-without-initial",
                               "index-without-sidecar",
-                              "sidecar-without-cross-view-distances"])
+                              "sidecar-without-cross-view-distances",
+                              "sidecar-file-deleted"])
 @pytest.mark.parametrize("command", [["play", "--iterations", "1"],
                                      ["warp", "--task", "pineapple_table_to_shelf"]],
                          ids=["play", "warp"])
@@ -304,6 +314,52 @@ def test_library_file_missing_field_exits_2_naming_its_path(cli_library, tmp_pat
     expected = break_library(lib)
     assert main(command + ["--demos", str(lib), "--out", str(tmp_path / "o")]) == 2
     assert expected in capsys.readouterr().err
+
+
+def _put_back_dropped_copies(lib, state_id):
+    """Rewrite a library in the format that stored copies: the index's task
+    list and entry task ids, and each sidecar's demo id, task id and block
+    state ids, here all set to `state_id`."""
+    index = json.loads((lib / "index.json").read_text())
+    for entry in index["demos"]:
+        task_id = json.loads((lib / entry["file"]).read_text())["task_id"]
+        entry["task_id"] = task_id
+        side = json.loads((lib / entry["sidecar"]).read_text())
+        side.update(demo_id=entry["id"], task_id=task_id)
+        for block in ("initial", "final"):
+            side[block]["state_id"] = state_id
+        (lib / entry["sidecar"]).write_text(json.dumps(side, sort_keys=True, indent=2))
+    index["tasks"] = sorted({e["task_id"] for e in index["demos"]})
+    (lib / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2))
+
+
+def test_library_with_stored_copies_plays_the_same(cli_library, tmp_path):
+    """A library written with the old copies, even ones that disagree with
+    the summaries, gives the same session: the copies are never read."""
+    old = tmp_path / "old"
+    shutil.copytree(cli_library, old)
+    _put_back_dropped_copies(old, "0" * 24)
+    logs = []
+    for lib in (cli_library, old):
+        out = tmp_path / f"s-{lib.name}"
+        assert main(["play", "--demos", str(lib), "--out", str(out),
+                     "--iterations", "30"]) == 0
+        logs.append((out / "session_log.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+    assert any(r["feasible"] for r in read_session_log(tmp_path / "s-old" / "session_log.jsonl"))
+
+
+@pytest.mark.parametrize("name", ["index.json", "file", "sidecar"])
+def test_report_with_a_library_file_missing_exits_2_naming_it(cli_library, cli_session,
+                                                              tmp_path, capsys, name):
+    lib = tmp_path / "lib"
+    shutil.copytree(cli_library, lib)
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    missing = lib / entry.get(name, name)
+    missing.unlink()
+    assert main(["report", "--log", str(cli_session / "session_log.jsonl"),
+                 "--demos", str(lib), "--out", str(tmp_path / "r")]) == 2
+    assert f"{missing} is missing" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -360,23 +416,64 @@ def test_play_resume_rejects_session_flags(cli_session, capsys, flag):
 
 
 @pytest.mark.parametrize("keys", [["world"], ["rng_state"], ["world", "gripper"],
-                                  ["world", "rng_state"], ["world", "params"],
+                                  ["world", "rng_state"],
                                   ["world", "gripper", "riders"],
                                   ["world", "objects", "pineapple", "upright"],
                                   ["world", "objects", "bowl", "position"],
                                   ["config", "seed"]],
                          ids=".".join)
 def test_play_resume_checkpoint_without_a_key_exits_4(cli_session, tmp_path, capsys, keys):
-    def drop(doc):
-        for key in keys[:-1]:
-            doc = doc[key]
-        del doc[keys[-1]]
-
-    session, checkpoint = _session_copy(cli_session, tmp_path, drop)
+    session, checkpoint = _session_copy(cli_session, tmp_path, lambda doc: drop_key(doc, keys))
     before = _tree_state(session)
     assert main(["play", "--out", str(session), "--resume", str(checkpoint)]) == 4
     err = capsys.readouterr().err
     assert str(checkpoint) in err and repr(keys[-1]) in err
+    assert _tree_state(session) == before
+
+
+def test_every_checkpoint_key_is_read(cli_session, tmp_path, capsys):
+    """Deleting any one key of a checkpoint makes --resume exit 4 naming the
+    file, so a checkpoint holds no key that nothing reads. Object and rider
+    names are data, and the fields of an `rng_state` are numpy's."""
+    doc = json.loads((cli_session / "checkpoints" / "ckpt_000010.json").read_text())
+    unread = []
+    for n, keys in enumerate(json_key_paths(doc, names=("objects", "riders"))):
+        if "rng_state" in keys[:-1]:
+            continue
+        session, checkpoint = _session_copy(cli_session, tmp_path / str(n),
+                                            lambda d: drop_key(d, keys))
+        if (main(["play", "--out", str(session), "--resume", str(checkpoint)]) != 4
+                or str(checkpoint) not in capsys.readouterr().err):
+            unread.append(keys)
+    assert unread == []
+
+
+def test_checkpoint_with_world_params_resumes_with_the_config_ones(cli_library, cli_session,
+                                                                  tmp_path):
+    """A checkpoint that still stores its world parameters resumes with the
+    ones its config gives, like an uninterrupted session, whatever it stores."""
+    stored = {"grasp_radius": 0.03, "p_tip": 0.9, "tip_drop_height": 0.0,
+              "settle_jitter": 0.008}
+    session, checkpoint = _session_copy(cli_session, tmp_path,
+                                        lambda doc: doc["world"].update(params=stored))
+    assert main(["play", "--out", str(session), "--iterations", "40",
+                 "--resume", str(checkpoint)]) == 0
+    whole = tmp_path / "whole"
+    assert main(["play", "--demos", str(cli_library), "--out", str(whole),
+                 "--iterations", "40"]) == 0
+    assert ((session / "session_log.jsonl").read_bytes()
+            == (whole / "session_log.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("key, value", [("seed", "0"), ("k", 0)])
+def test_play_resume_checkpoint_with_a_bad_config_value_exits_4(cli_session, tmp_path,
+                                                               capsys, key, value):
+    session, checkpoint = _session_copy(cli_session, tmp_path,
+                                        lambda doc: doc["config"].update({key: value}))
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--resume", str(checkpoint)]) == 4
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and key in err
     assert _tree_state(session) == before
 
 

@@ -182,7 +182,8 @@ def test_execute_plan_equals_per_step_loop(seed, plan_steps, start, in_bowl):
     bits = [bit for *_, bit in plan_steps]
     traj = trajectory_from_parts(positions, quats, bits)
 
-    reference = SimWorld.from_state_dict(LAYOUT, copy.deepcopy(world.state_dict()))
+    reference = SimWorld.from_state_dict(LAYOUT, world.params,
+                                         copy.deepcopy(world.state_dict()))
     ref_positions, ref_events, ref_oob = execute_per_step(reference, traj)
     trace = execute_plan(world, traj)
     assert np.array_equal(trace.positions, ref_positions)

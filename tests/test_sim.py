@@ -1,12 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_oracle
+from conftest import drop_key, json_key_paths, make_oracle
 from keywarp.correspondence import FilterConfig, match_demo
-from keywarp.demo import save_demo_library
+from keywarp.demo import SchemaError, save_demo_library
 from keywarp.geometry import project
 from keywarp.sim import (ConfigError, CorrespondenceOracle, DemoLibrary,
                          OracleConfig, SlotRegion, WorldParams, execute_plan,
@@ -98,14 +99,12 @@ def test_snapshot_matches_like_the_stored_demo(layout):
     task = builtin_tasks()[0]
     demos, sidecars = generate_seed_demos(layout, task, n=1, seed=3)
     demo = demos[0]
+    library = DemoLibrary(demos, sidecars, layout.rig)
     oracle = CorrespondenceOracle(OracleConfig())
-    for block in ("initial", "final"):
-        for a in sidecars[demo.id][block]["annotations"]:
-            oracle.register_annotation(sidecars[demo.id][block]["state_id"],
-                                       a["view"], a["pixel"], a["anchor"],
-                                       a["offset"])
+    library.register_with(oracle)
     world = world_from_snapshot(layout, demo.snapshot)
-    outcome = match_demo(oracle, demo, snapshot(world))
+    outcome = match_demo(oracle, demo, snapshot(world), FilterConfig(),
+                         library.demo_side_distances[demo.id])
     assert outcome.feasible
     assert outcome.score < 1e-9
 
@@ -133,7 +132,8 @@ def test_oracle_translated_object_matches_projection(library, clean_oracle, layo
                                demo.keypoints[view][0], view, view)
         assert np.allclose(m.pixel, project(layout.rig.camera(view),
                                             expected_point), atol=1e-9)
-    outcome = match_demo(clean_oracle, demo, target)
+    outcome = match_demo(clean_oracle, demo, target, FilterConfig(),
+                         library.demo_side_distances[demo.id])
     assert np.max(np.abs(outcome.target_waypoints[0]
                          - (demo.waypoints[0] + delta))) < 1e-6
 
@@ -217,20 +217,6 @@ def test_oracle_memo_keeps_only_the_latest_observation(library, clean_oracle, la
     assert sum(map(len, clean_oracle._annotations.values())) == n_annotations
 
 
-def test_oracle_live_demo_side_queries_keep_the_observation_memo(
-        library, clean_oracle, layout):
-    """Cross-view queries into the (registered) demo scene sit between the
-    observation's matches and its own cross-view queries; they must not
-    evict the observation's memo."""
-    demo = library.demos[library.by_task["pineapple_table_to_bowl"][0]]
-    for i in range(3):
-        target = _moved(layout, demo.snapshot, np.array([0.0, 0.01 * (i + 1), 0.0]))
-        outcome = match_demo(clean_oracle, demo, target, demo_side_distances=None)
-        assert outcome.feasible
-        assert np.max(outcome.cross_view_gaps) < 1e-6
-    assert set(clean_oracle._memo) == {demo.snapshot.state_id, target.state_id}
-
-
 def test_oracle_deterministic_per_query(library):
     a = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
     b = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
@@ -253,7 +239,8 @@ def test_execute_grasps_and_places(layout, library, clean_oracle):
     demo_id = library.by_task["pineapple_table_to_shelf"][0]
     demo = library.demos[demo_id]
     world = world_from_snapshot(layout, demo.snapshot)
-    outcome = match_demo(clean_oracle, demo, snapshot(world))
+    outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
+                         library.demo_side_distances[demo.id])
     plan = warp_trajectory(demo, outcome.target_waypoints)
     trace = execute_plan(world, plan)
     assert trace.grasped
@@ -367,7 +354,8 @@ def test_settling_deterministic_per_seed(layout, library, clean_oracle):
                             params=WorldParams(settle_jitter=0.01, p_tip=0.5))
         for name, state in demo.snapshot.content.objects.items():
             world.objects[name].position = np.array(state.position)
-        outcome = match_demo(clean_oracle, demo, snapshot(world))
+        outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
+                             library.demo_side_distances[demo.id])
         plan = warp_trajectory(demo, outcome.target_waypoints)
         trace = execute_plan(world, plan)
         return trace, {k: v.position.copy() for k, v in world.objects.items()}
@@ -419,6 +407,29 @@ def test_demo_library_files_and_sidecars(tmp_path, layout):
         assert len(side["final"]["annotations"]) == 2
         assert demo_id in lib.final_snapshots
         assert demo_id in lib.demo_side_distances
+
+
+def test_every_library_key_is_read(tmp_path, layout):
+    """Deleting any one key of the index or of a sidecar makes loading and
+    registering the library fail, so the format holds no key that nothing
+    reads. Object and anchor names are data, not schema."""
+    demos, sidecars = generate_seed_demos(layout, builtin_tasks()[0], n=1, seed=0)
+    save_demo_library(tmp_path, demos, sidecars)
+    unread = []
+    for name in ("index.json", f"{demos[0].id}.sidecar.json"):
+        original = (tmp_path / name).read_text()
+        doc = json.loads(original)
+        for keys in json_key_paths(doc, names=("objects", "anchors")):
+            broken = copy.deepcopy(doc)
+            drop_key(broken, keys)
+            (tmp_path / name).write_text(json.dumps(broken))
+            try:
+                DemoLibrary.load(tmp_path).register_with(CorrespondenceOracle())
+                unread.append((name, keys))
+            except (SchemaError, ConfigError):
+                pass
+        (tmp_path / name).write_text(original)
+    assert unread == []
 
 
 def test_unstageable_demo_task_raises(layout):
