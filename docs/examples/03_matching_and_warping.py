@@ -34,10 +34,9 @@ for o in outcomes:
     print(f"  {o.demo_id}: feasible={o.feasible} score={score} "
           f"max residual {np.max(o.triangulation_residuals):.4f} m")
 
-chosen = select_source_demo(outcomes)
-outcome = next(o for o in outcomes if o.demo_id == chosen)
-demo = next(d for d in demos if d.id == chosen)
-print(f"\nselected {chosen}")
+outcome = select_source_demo(outcomes)
+demo = library.demos[outcome.demo_id]
+print(f"\nselected {outcome.demo_id}")
 
 plan = warp_trajectory(demo, outcome.target_waypoints)
 print(f"warped plan: {len(plan)} actions (source had {len(demo.actions)}); "

@@ -1,23 +1,17 @@
 """Command-line entry points: gen-demos, warp, play, report, export.
 
-Exit codes: 0 success; 2 configuration error, including an out-of-range
-flag or config value, gen-demos --n below 1, a config, layout or library
-file that is not valid JSON, a missing library index, summary or sidecar,
-a library index or sidecar that lacks a field or holds one of the wrong
-type (the message gives the field path), and a play --resume given
---config, --demos, --seed, --k, --sigma, --outlier-rate, --residual-max
-or --gap-max, or an --out other than the checkpointed session's
-directory; 3 no feasible demo match; 4 I/O error, including a checkpoint
-given to --resume that is truncated, lacks a key (nested ones and config
-keys too), or holds a non-integer iteration or stall counter or a config
-value of the wrong type or out of range, a resumed session whose log is
-missing, lacks one of the checkpoint's iterations or names a task or demo
-outside the library, and a session log given to report or --resume with
-an unparsable line other than its last (a last line torn by a crash is
-dropped). A resumed session keeps its checkpointed config and rebuilds
-its statistics from the log; only --iterations applies. All outputs land
-under --out; every subcommand is deterministic for a fixed seed (the
-report's generated_at header is the single timestamp anywhere).
+Exit codes: 0 success; 2 a bad flag or a bad input file (--config,
+--layout, a library's index, summaries and sidecars); 3 no feasible demo
+match; 4 a bad session artifact (a checkpoint, session_log.jsonl,
+dataset/manifest.json) or a failed write. A file is bad when it is
+missing, not JSON, or lacks a field or holds one of the wrong type or
+range, and the message names it; a session log's unparsable last line is
+a record torn by a crash and is dropped. A flag is bad when its value is
+out of range, or when play --resume is given a session flag or a foreign
+--out: a resumed session keeps its checkpointed config, and only
+--iterations applies. All outputs land under --out; every subcommand is
+deterministic for a fixed seed (the report's generated_at header is the
+single timestamp anywhere).
 """
 
 from __future__ import annotations
@@ -25,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .correspondence import AllInfeasible, FilterConfig, match_demo, select_source_demo
-from .demo import ConfigError, SchemaError, read_json, save_demo_library
-from .play import (SessionConfig, _read_checkpoint, export_success_dataset,
-                   read_session_log, resume_session, run_session,
-                   write_report_files)
+from .demo import ConfigError, read_json, save_demo_library
+from .play import (SessionConfig, export_success_dataset, read_session_log,
+                   resume_session, run_session, write_report_files)
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
                   default_layout, generate_demo_library, layout_from_dict,
                   snapshot, spawn_world)
@@ -42,7 +36,7 @@ from .warp import plan_to_dict, warp_trajectory
 def _load_layout(path):
     if path is None:
         return default_layout()
-    return layout_from_dict(read_json(path))
+    return read_json(path, lambda p: layout_from_dict(p.doc))
 
 
 def cmd_gen_demos(args) -> int:
@@ -94,12 +88,11 @@ def cmd_warp(args) -> int:
     (out / "warp_diagnostics.json").write_text(
         json.dumps(diagnostics, sort_keys=True, indent=2))
 
-    selected = select_source_demo(outcomes)   # AllInfeasible -> exit 3
-    outcome = next(o for o in outcomes if o.demo_id == selected)
-    plan = warp_trajectory(library.demos[selected], outcome.target_waypoints)
+    outcome = select_source_demo(outcomes)   # AllInfeasible -> exit 3
+    plan = warp_trajectory(library.demos[outcome.demo_id], outcome.target_waypoints)
     (out / "warped_plan.json").write_text(
         json.dumps(plan_to_dict(plan), sort_keys=True, indent=2))
-    print(f"selected {selected} (score {outcome.score:.4f}); "
+    print(f"selected {outcome.demo_id} (score {outcome.score:.4f}); "
           f"plan of {len(plan)} actions written to {out / 'warped_plan.json'}")
     return 0
 
@@ -119,28 +112,19 @@ def cmd_play(args) -> int:
         if given:
             raise ConfigError(f"{', '.join(given)} cannot be given with --resume: "
                               "the session keeps its checkpointed config")
-        _, cfg = _read_checkpoint(args.resume)
-        if Path(args.out).resolve() != Path(cfg.out_dir).resolve():
-            raise ConfigError(f"--out {args.out} is not the checkpointed session's "
-                              f"directory {cfg.out_dir}")
-        session = resume_session(args.resume, iterations=args.iterations)
+        session = resume_session(args.resume, iterations=args.iterations,
+                                 out_dir=args.out)
     else:
-        doc = {}
-        if args.config:
-            doc = read_json(args.config)
-            if not isinstance(doc, dict):
-                raise ConfigError("session config must be a JSON object")
+        cfg = (read_json(args.config, lambda p: SessionConfig.from_dict(p.doc))
+               if args.config else SessionConfig())
         overrides = {
             "seed": args.seed, "iterations": args.iterations, "k": args.k,
             "pixel_noise_sigma": args.sigma, "outlier_rate": args.outlier_rate,
             "residual_max": args.residual_max, "gap_max": args.gap_max,
             "demo_library": args.demos,
         }
-        for key, value in overrides.items():
-            if value is not None:
-                doc[key] = value
-        doc["out_dir"] = args.out
-        cfg = SessionConfig.from_dict(doc)
+        cfg = replace(cfg, out_dir=args.out,
+                      **{key: value for key, value in overrides.items() if value is not None})
         if not cfg.demo_library:
             raise ConfigError("a demo library is required (--demos or config)")
         session = run_session(cfg)
@@ -226,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SchemaError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except AllInfeasible as e:

@@ -147,7 +147,7 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
                         cross_view_gaps=gaps, feasible=feasible, score=score)
 
 
-def select_source_demo(outcomes) -> str:
+def select_source_demo(outcomes) -> MatchOutcome:
     """Feasible outcome with the lowest score; ties go to the lowest demo id."""
     outcomes = list(outcomes)
     if not outcomes:
@@ -155,4 +155,4 @@ def select_source_demo(outcomes) -> str:
     feasible = [o for o in outcomes if o.feasible]
     if not feasible:
         raise AllInfeasible("every candidate demo failed the match filters")
-    return min(feasible, key=lambda o: (o.score, o.demo_id)).demo_id
+    return min(feasible, key=lambda o: (o.score, o.demo_id))

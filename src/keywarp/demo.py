@@ -26,12 +26,12 @@ class NoWaypoints(ValueError):
     """Gripper never toggles; the demo cannot be summarized."""
 
 
-class SchemaError(ValueError):
-    """Malformed serialized summary or sidecar; message carries the field path."""
-
-
 class ConfigError(ValueError):
     """Inconsistent layout, session configuration or library file."""
+
+
+class SchemaError(ConfigError):
+    """Malformed serialized summary or sidecar; message carries the field path."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +371,10 @@ def decode_summary(data: bytes) -> DemoSummary:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise SchemaError(f"<root>: invalid JSON ({e.msg})") from e
-    root = _Probe(doc)
+    return summary_from_probe(_Probe(doc))
+
+
+def summary_from_probe(root: _Probe) -> DemoSummary:
     rig = rig_from_probe(root.child("rig"))
     content = snapshot_content_from_probe(root.child("snapshot"))
     actions_probe = root.child("actions")
@@ -416,10 +419,18 @@ def save_demo_library(directory, summaries, sidecars):
     (directory / INDEX_FILE).write_text(json.dumps(index, sort_keys=True, indent=2))
 
 
-def read_json(path):
-    """The JSON document in a file; ConfigError naming the file if it is not JSON."""
-    text = Path(path).read_text()
+def read_json(path, parse, error=ConfigError):
+    """`parse` applied to a `_Probe` rooted at `path` over the file's JSON
+    document. Every failure names the file and is an `error`: the default
+    ConfigError (exit 2) for an input the user names, OSError (exit 4) for
+    a session artifact. Failures are the file missing or unreadable, its
+    text not JSON, and `parse` finding a field missing or of the wrong type."""
     try:
-        return json.loads(text)
+        return parse(_Probe(json.loads(Path(path).read_text()), str(path)))
+    except FileNotFoundError as e:
+        raise error(f"{path} is missing") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+        raise error(f"{path} is not valid JSON: {e}") from e
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        msg = str(e)   # a probe rooted at `path` already names the file
+        raise error(msg if msg.startswith(str(path)) else f"{path}: {msg}") from e

@@ -28,7 +28,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .bandit import ArmStats, sample_target_task, select_top_k, update_stats
 from .correspondence import AllInfeasible, FilterConfig, MatcherInterface, match_demo, select_source_demo
-from .demo import ConfigError, DemoSummary, SceneSnapshot
+from .demo import ConfigError, DemoSummary, SceneSnapshot, read_json
 from .geometry import point_ray_distance, ray_through_pixel
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig, SimWorld,
                   WorldParams, default_layout, execute_plan, layout_from_dict,
@@ -231,10 +231,13 @@ class SessionConfig:
         for name in ("k", "max_consecutive_failures", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        # the filter and oracle configs check their own fields' ranges
+        # the filter, oracle and layout configs check their own fields
         self.filters = FilterConfig(residual_max=self.residual_max, gap_max=self.gap_max)
         self.oracle = OracleConfig(pixel_noise_sigma=self.pixel_noise_sigma,
                                    outlier_rate=self.outlier_rate, seed=self.seed)
+        self.world_layout = layout_from_dict(self.layout) if self.layout else default_layout()
+        self.world_params = WorldParams(grasp_radius=self.grasp_radius, p_tip=self.p_tip,
+                                        settle_jitter=self.settle_jitter)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
@@ -276,27 +279,23 @@ def _write_atomic(path: Path, text: str):
 
 
 def _read_checkpoint(path) -> tuple:
-    """A checkpoint's document and session config; OSError naming the file
-    when it is truncated, lacks a key `PlaySession.state_dict` writes (in its
-    config too), or holds a non-integer `iteration` or `consecutive_failures`
-    or a config value of the wrong type or out of range."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise OSError(f"{path} is not a complete checkpoint: {e}") from e
-    for key in ("iteration", "consecutive_failures", "rng_state", "world", "config"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise OSError(f"{path} is not a complete checkpoint: missing key {key!r}")
-    for f in fields(SessionConfig):
-        if isinstance(doc["config"], dict) and f.name not in doc["config"]:
-            raise OSError(f"{path} is not a complete checkpoint: missing config key {f.name!r}")
-    for key in ("iteration", "consecutive_failures"):
-        if type(doc[key]) is not int:
-            raise OSError(f"{path} is not a complete checkpoint: {key!r} is not an integer")
-    try:
-        return doc, SessionConfig.from_dict(doc["config"])
-    except ConfigError as e:
-        raise OSError(f"{path} holds a bad config: {e}") from e
+    """A checkpoint's (iteration, session config, world, RNG); OSError naming
+    the file when it is missing or not JSON, lacks a key `PlaySession.state_dict`
+    writes (nested and config keys too), or holds a value of the wrong type
+    or out of range."""
+    def parse(p):
+        iteration = p.child("iteration").doc
+        if type(iteration) is not int:
+            p.fail("'iteration' is not an integer")
+        for f in fields(SessionConfig):   # from_dict would default a missing key
+            p.child("config").child(f.name)
+        cfg = SessionConfig.from_dict(p.child("config").doc)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = p.child("rng_state").mapping()
+        world = SimWorld.from_state_dict(cfg.world_layout, cfg.world_params,
+                                         p.child("world").doc)
+        return iteration, cfg, world, rng
+    return read_json(path, parse, error=OSError)
 
 
 class PlaySession:
@@ -308,7 +307,6 @@ class PlaySession:
         """The session at iteration 0: library loaded and registered with the
         oracle, world spawned from the seed, output directories made."""
         self.cfg = cfg
-        self.layout = layout_from_dict(cfg.layout) if cfg.layout else default_layout()
         self.library = DemoLibrary.load(cfg.demo_library)
         self.matcher = CorrespondenceOracle(cfg.oracle)
         self.library.register_with(self.matcher)
@@ -322,9 +320,7 @@ class PlaySession:
                         if cfg.planner_url else RuleBasedPlanner(tasks))
         self.evaluator = (RemoteEvaluator(cfg.evaluator_url, cfg.remote_timeout_s)
                           if cfg.evaluator_url else RuleBasedEvaluator())
-        params = WorldParams(grasp_radius=cfg.grasp_radius, p_tip=cfg.p_tip,
-                             settle_jitter=cfg.settle_jitter)
-        self.world = spawn_world(self.layout, seed=cfg.seed + 1, params=params)
+        self.world = spawn_world(cfg.world_layout, seed=cfg.seed + 1, params=cfg.world_params)
         self.rng = np.random.default_rng(cfg.seed)
         self.out_dir = Path(cfg.out_dir)
         self.iteration = 0
@@ -343,21 +339,18 @@ class PlaySession:
         return session
 
     @classmethod
-    def resume(cls, checkpoint_path) -> "PlaySession":
+    def resume(cls, checkpoint_path, out_dir=None) -> "PlaySession":
         """The session at checkpoint N, with its statistics rebuilt from log
-        records 1..N and later records dropped. OSError naming the file when
+        records 1..N and later records dropped. ConfigError when `out_dir` is
+        given and is not the session's directory; OSError naming the file when
         the checkpoint is incomplete, or the log is missing, lacks one of
         records 1..N or names a task or demo outside the library."""
-        doc, cfg = _read_checkpoint(checkpoint_path)
+        iteration, cfg, world, rng = _read_checkpoint(checkpoint_path)
+        if out_dir is not None and Path(out_dir).resolve() != Path(cfg.out_dir).resolve():
+            raise ConfigError(f"--out {out_dir} is not the checkpointed session's "
+                              f"directory {cfg.out_dir}")
         session = cls(cfg)
-        try:
-            session.world = SimWorld.from_state_dict(session.layout, session.world.params,
-                                                     doc["world"])
-            session.rng.bit_generator.state = doc["rng_state"]
-        except (KeyError, TypeError, ValueError) as e:
-            raise OSError(f"{checkpoint_path} is not a complete checkpoint: {e!r}") from e
-        session.iteration = doc["iteration"]
-        session.consecutive_failures = doc["consecutive_failures"]
+        session.iteration, session.world, session.rng = iteration, world, rng
         path = session.out_dir / LOG_FILE
         kept = read_session_log(path)[:session.iteration]
         if [r.get("iteration") for r in kept] != list(range(1, session.iteration + 1)):
@@ -382,7 +375,6 @@ class PlaySession:
         """What the log cannot give; `resume` rebuilds the statistics from it."""
         return {
             "iteration": self.iteration,
-            "consecutive_failures": self.consecutive_failures,
             "rng_state": self.rng.bit_generator.state,
             "world": self.world.state_dict(),
             "config": self.cfg.to_dict(),
@@ -397,28 +389,7 @@ class PlaySession:
 
     def run_iteration(self) -> dict:
         self.iteration += 1
-        record = {
-            "iteration": self.iteration,
-            "target_task": None,
-            "planned": None,
-            "attempted_task": None,
-            "candidates": [],
-            "matches": [],
-            "selected_demo": None,
-            "feasible": False,
-            "executed": False,
-            "evaluator_success": None,
-            "verification": None,
-            "success": False,
-            "target_waypoints": None,
-            "events": [],
-            "out_of_bounds": 0,
-            "sim_duration_s": 0.0,
-            "episode_file": None,
-            "intervention": None,
-            "pre_state": None,
-            "post_state": None,
-        }
+        record = _new_record(self.iteration)
         pre_state = symbolic_state(self.world)
         record["pre_state"] = pre_state.to_dict()
         obs = snapshot(self.world)
@@ -454,14 +425,14 @@ class PlaySession:
         record["matches"] = [_match_summary(o) for o in outcomes]
 
         try:
-            demo_id = select_source_demo(outcomes)
+            outcome = select_source_demo(outcomes)
         except AllInfeasible:
             self._register_failure(record)
             self._append_log(record)
             return record
+        demo_id = outcome.demo_id
         record["selected_demo"] = demo_id
         record["feasible"] = True
-        outcome = next(o for o in outcomes if o.demo_id == demo_id)
         demo = self.library.demos[demo_id]
 
         targets = outcome.target_waypoints.copy()
@@ -497,21 +468,19 @@ class PlaySession:
 
         if success:
             record["episode_file"] = self._write_episode(record, plan)
-            self.consecutive_failures = 0
         else:
             self._register_failure(record)
         self._append_log(record)
         return record
 
     def _register_failure(self, record):
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.cfg.max_consecutive_failures:
+        """The failure that makes `max_consecutive_failures` in a row stalls."""
+        if self.consecutive_failures + 1 >= self.cfg.max_consecutive_failures:
             self._intervene("stall", record)
 
     def _intervene(self, reason, record):
         record["intervention"] = reason
         randomize_world(self.world)
-        self.consecutive_failures = 0
 
     def _write_episode(self, record, plan) -> str:
         fname = f"ep_{record['iteration']:06d}.json"
@@ -532,8 +501,11 @@ class PlaySession:
         self._account(record)
 
     def _account(self, record):
-        """Fold a finished log record into `arms`, `episodes` and `interventions`,
-        their only writer, live and on resume."""
+        """Fold a finished log record into `arms`, `episodes`, `interventions`
+        and `consecutive_failures`, their only writer, live and on resume. A
+        success or an intervention ends a run of failures."""
+        self.consecutive_failures = (0 if record["success"] or record["intervention"]
+                                     else self.consecutive_failures + 1)
         task_id = record["attempted_task"]
         if record["executed"]:
             update_stats(self.arms[task_id], record["selected_demo"],
@@ -570,6 +542,19 @@ class PlaySession:
         return self
 
 
+def _new_record(iteration) -> dict:
+    """An iteration's log record before it runs; every record has its keys."""
+    return {"iteration": iteration, "target_task": None, "planned": None,
+            "attempted_task": None, "candidates": [], "matches": [], "selected_demo": None,
+            "feasible": False, "executed": False, "evaluator_success": None,
+            "verification": None, "success": False, "target_waypoints": None, "events": [],
+            "out_of_bounds": 0, "sim_duration_s": 0.0, "episode_file": None,
+            "intervention": None, "pre_state": None, "post_state": None}
+
+
+RECORD_KEYS = frozenset(_new_record(0))
+
+
 def _match_summary(outcome) -> dict:
     def _finite(x):
         return float(x) if np.isfinite(x) else None
@@ -594,9 +579,9 @@ def run_session(cfg: SessionConfig) -> PlaySession:
     return session.finalize()
 
 
-def resume_session(checkpoint_path, iterations: int = None) -> PlaySession:
+def resume_session(checkpoint_path, iterations: int = None, out_dir=None) -> PlaySession:
     """Continue a checkpointed session to the configured iteration count."""
-    session = PlaySession.resume(checkpoint_path)
+    session = PlaySession.resume(checkpoint_path, out_dir)
     if iterations is not None:
         session.cfg.iterations = iterations
     session.run()
@@ -610,9 +595,16 @@ def resume_session(checkpoint_path, iterations: int = None) -> PlaySession:
 def export_success_dataset(session_dir, out_dir) -> dict:
     """Copy the episodes and the manifest of a finished session's dataset
     into a standalone dataset directory."""
+    def parse(p):
+        for task in p.child("tasks").mapping():
+            p.child("tasks").child(task).integer()
+        for e in p.child("episodes").array():
+            e.child("file").string()
+        return p.doc
+
     dataset_dir = Path(session_dir) / "dataset"
     out_dir = Path(out_dir)
-    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    manifest = read_json(dataset_dir / "manifest.json", parse, error=OSError)
     (out_dir / "episodes").mkdir(parents=True, exist_ok=True)
     for e in manifest["episodes"]:
         shutil.copyfile(dataset_dir / e["file"], out_dir / e["file"])
@@ -626,7 +618,8 @@ def export_success_dataset(session_dir, out_dir) -> dict:
 def read_session_log(path) -> list:
     """The records of a session log. An unparsable last line is a record torn
     by a crash mid-append and is dropped; any other line that is not a JSON
-    object is an OSError naming the file and the line."""
+    object with every key of `RECORD_KEYS` is an OSError naming the file and
+    the line."""
     lines = Path(path).read_text().splitlines()
     records = []
     for n, line in enumerate(lines, 1):
@@ -640,6 +633,9 @@ def read_session_log(path) -> list:
             raise OSError(f"{path} line {n} is not a log record: {e}") from e
         if not isinstance(record, dict):
             raise OSError(f"{path} line {n} is not a log record: not a JSON object")
+        if not RECORD_KEYS <= record.keys():
+            raise OSError(f"{path} line {n} is not a log record: missing keys "
+                          f"{sorted(RECORD_KEYS - record.keys())}")
         records.append(record)
     return records
 

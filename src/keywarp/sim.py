@@ -25,9 +25,9 @@ import numpy as np
 
 from .correspondence import Match, demo_cross_view_distances
 from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   SemanticScene, _Probe, decode_summary, read_json,
+                   SemanticScene, _Probe, read_json,
                    rig_from_probe, rig_to_dict, snapshot_content_from_probe,
-                   snapshot_content_to_dict, summarize_demo,
+                   snapshot_content_to_dict, summarize_demo, summary_from_probe,
                    trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
@@ -123,14 +123,11 @@ def layout_from_dict(doc: dict) -> Layout:
         regions = {}
         for name in ("table", "shelf"):
             rp = p.child(name)
+            bounds = {f.name: rp.child(f.name).number() for f in fields(SlotRegion)}
             try:
-                regions[name] = SlotRegion(x_min=rp.child("x_min").number(),
-                                           x_max=rp.child("x_max").number(),
-                                           y_min=rp.child("y_min").number(),
-                                           y_max=rp.child("y_max").number(),
-                                           z=rp.child("z").number())
+                regions[name] = SlotRegion(**bounds)
             except ConfigError as e:
-                raise ConfigError(f"{name}: {e}") from e
+                rp.fail(str(e))
         objects = []
         for op in p.child("objects").array():
             objects.append(ObjectSpec(id=op.child("id").string(),
@@ -224,19 +221,23 @@ class SimWorld:
 
     @staticmethod
     def from_state_dict(layout: Layout, params: WorldParams, doc: dict) -> "SimWorld":
+        """Inverse of `state_dict`; SchemaError naming a missing or mistyped field."""
+        p = _Probe(doc, "world")
         rng = np.random.default_rng(0)
-        rng.bit_generator.state = doc["rng_state"]
-        objects = {k: _ObjState(position=np.array(v["position"], dtype=float),
-                                upright=v["upright"])
-                   for k, v in doc["objects"].items()}
-        world = SimWorld(layout, params, rng, objects)
-        g = doc["gripper"]
-        world.gripper_position = np.array(g["position"], dtype=float)
-        world.gripper_orientation = np.array(g["orientation"], dtype=float)
-        world.gripper_closed = g["closed"]
-        world.attached = g["attached"]
-        world._rider_offsets = {k: np.array(v, dtype=float)
-                                for k, v in g["riders"].items()}
+        rng.bit_generator.state = p.child("rng_state").mapping()
+        objects = p.child("objects")
+        world = SimWorld(layout, params, rng, {
+            k: _ObjState(position=np.array(objects.child(k).child("position").vector(3)),
+                         upright=objects.child(k).child("upright").boolean())
+            for k in objects.mapping()})
+        g, riders = p.child("gripper"), p.child("gripper").child("riders")
+        world.gripper_position = np.array(g.child("position").vector(3))
+        world.gripper_orientation = np.array(g.child("orientation").vector(4))
+        world.gripper_closed = g.child("closed").boolean()
+        attached = g.child("attached")
+        world.attached = None if attached.doc is None else attached.string()
+        world._rider_offsets = {k: np.array(riders.child(k).vector(3))
+                                for k in riders.mapping()}
         return world
 
 
@@ -760,7 +761,8 @@ def generate_demo_library(layout: Layout, tasks, n: int = 10, seed: int = 0):
 class DemoLibrary:
     """Demo summaries, each with its oracle sidecar, loaded from a directory."""
 
-    def __init__(self, demos, sidecars, rig: StereoRig):
+    def __init__(self, demos, sidecars, rig: StereoRig, files=None):
+        """`files` maps a demo id to its sidecar's file, for errors to name."""
         self.demos = {d.id: d for d in demos}
         unpaired = sorted(set(self.demos) ^ set(sidecars))
         if unpaired:
@@ -772,7 +774,8 @@ class DemoLibrary:
         # annotations: (state_id, view, pixel, anchor, offset), for register_with
         self.demo_side_distances, self.final_snapshots, self.annotations = {}, {}, []
         for demo_id, side in sidecars.items():
-            p = _Probe(side, f"sidecar[{demo_id}]")
+            where = f"sidecar[{demo_id}]"
+            p = _Probe(side, f"{files[demo_id]}: {where}" if files else where)
             initial, final = p.child("initial"), p.child("final")
             distances = initial.child("cross_view_distances")
             self.demo_side_distances[demo_id] = {
@@ -789,20 +792,18 @@ class DemoLibrary:
 
     @staticmethod
     def load(directory) -> "DemoLibrary":
+        """The library in `directory`; ConfigError naming the file when the
+        index, a summary or a sidecar is missing, not JSON or malformed."""
         directory = Path(directory)
-        path = directory / INDEX_FILE
-        demos, sidecars = [], {}
-        try:
-            for entry in _Probe(read_json(path), str(path)).child("demos").array():
-                demos.append(decode_summary(
-                    (directory / entry.child("file").string()).read_bytes()))
-                sidecars[entry.child("id").string()] = read_json(
-                    directory / entry.child("sidecar").string())
-        except FileNotFoundError as e:
-            raise ConfigError(f"demo library file {e.filename} is missing") from e
-        if not demos:
+        entries = read_json(directory / INDEX_FILE, lambda p: [
+            (e.child("id").string(), directory / e.child("file").string(),
+             directory / e.child("sidecar").string()) for e in p.child("demos").array()])
+        if not entries:
             raise ConfigError(f"demo library at {directory} is empty")
-        return DemoLibrary(demos, sidecars, demos[0].snapshot.rig)
+        demos = [read_json(summary, summary_from_probe) for _, summary, _ in entries]
+        files = {demo_id: sidecar for demo_id, _, sidecar in entries}
+        sidecars = {demo_id: read_json(path, _Probe.mapping) for demo_id, path in files.items()}
+        return DemoLibrary(demos, sidecars, demos[0].snapshot.rig, files)
 
     def register_with(self, oracle: CorrespondenceOracle):
         for annotation in self.annotations:

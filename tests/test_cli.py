@@ -8,7 +8,7 @@ import pytest
 
 from conftest import drop_key, json_key_paths
 from keywarp.cli import main
-from keywarp.play import read_session_log, convex_hull_area
+from keywarp.play import RECORD_KEYS, read_session_log, convex_hull_area
 from keywarp.tasks import builtin_tasks
 from oracle_utils import hull_area_monotone_chain
 
@@ -161,10 +161,9 @@ def test_report_row_format(tmp_path):
     log = tmp_path / "log.jsonl"
     rows = []
     for i in range(5):
-        rows.append({"iteration": i + 1, "attempted_task": "A",
-                     "success": i < 3, "executed": True, "selected_demo": "d0",
-                     "target_waypoints": [[0.1 * i, 0.2, 0.0]],
-                     "sim_duration_s": 4.0})
+        rows.append(dict(dict.fromkeys(RECORD_KEYS), iteration=i + 1, attempted_task="A",
+                         success=i < 3, executed=True, selected_demo="d0",
+                         target_waypoints=[[0.1 * i, 0.2, 0.0]], sim_duration_s=4.0))
     log.write_text("".join(json.dumps(r) + "\n" for r in rows))
     out = tmp_path / "rep"
     assert main(["report", "--log", str(log), "--out", str(out)]) == 0
@@ -465,6 +464,24 @@ def test_checkpoint_with_world_params_resumes_with_the_config_ones(cli_library, 
             == (whole / "session_log.jsonl").read_bytes())
 
 
+def test_checkpoint_with_a_stall_counter_resumes_with_the_logs_one(cli_library, tmp_path):
+    """A checkpoint that still stores a stall counter resumes with the one its
+    log gives, like an uninterrupted session. Every iteration fails here, so
+    the 24 stored would stall the session at iteration 11, not 25."""
+    runs = {}
+    for name, iterations in (("whole", "40"), ("killed", "10")):
+        runs[name] = tmp_path / name
+        assert main(["play", "--demos", str(cli_library), "--out", str(runs[name]),
+                     "--outlier-rate", "1", "--iterations", iterations]) == 0
+    checkpoint = runs["killed"] / "checkpoints" / "ckpt_000010.json"
+    checkpoint.write_text(json.dumps(dict(json.loads(checkpoint.read_text()),
+                                          consecutive_failures=24)))
+    assert main(["play", "--out", str(runs["killed"]), "--iterations", "40",
+                 "--resume", str(checkpoint)]) == 0
+    assert ((runs["killed"] / "session_log.jsonl").read_bytes()
+            == (runs["whole"] / "session_log.jsonl").read_bytes())
+
+
 @pytest.mark.parametrize("key, value", [("seed", "0"), ("k", 0)])
 def test_play_resume_checkpoint_with_a_bad_config_value_exits_4(cli_session, tmp_path,
                                                                capsys, key, value):
@@ -478,7 +495,7 @@ def test_play_resume_checkpoint_with_a_bad_config_value_exits_4(cli_session, tmp
 
 
 @pytest.mark.parametrize("value", ["10", True], ids=repr)
-@pytest.mark.parametrize("key", ["iteration", "consecutive_failures"])
+@pytest.mark.parametrize("key", ["iteration"])
 def test_play_resume_checkpoint_with_a_non_integer_counter_exits_4(cli_session, tmp_path,
                                                                   capsys, key, value):
     session, checkpoint = _session_copy(cli_session, tmp_path,

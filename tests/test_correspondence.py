@@ -211,7 +211,7 @@ def _outcome(demo_id, score):
 def test_select_source_demo_is_argmin():
     outcomes = [_outcome("d0", 0.4), _outcome("d1", 0.1),
                 _outcome("d2", float("inf"))]
-    assert select_source_demo(outcomes) == "d1"
+    assert select_source_demo(outcomes).demo_id == "d1"
 
 
 def test_select_source_demo_all_infeasible():
@@ -221,7 +221,7 @@ def test_select_source_demo_all_infeasible():
 
 def test_select_source_demo_tie_breaks_by_id():
     outcomes = [_outcome("d7", 0.2), _outcome("d2", 0.2), _outcome("d5", 0.9)]
-    assert select_source_demo(outcomes) == "d2"
+    assert select_source_demo(outcomes).demo_id == "d2"
 
 
 def test_select_source_demo_permutation_invariant():
@@ -230,7 +230,7 @@ def test_select_source_demo_permutation_invariant():
                 for i, s in enumerate([0.5, 0.31, 0.7, np.inf, 0.31])]
     for _ in range(10):
         perm = list(rng.permutation(len(outcomes)))
-        assert select_source_demo([outcomes[i] for i in perm]) == "d1"
+        assert select_source_demo([outcomes[i] for i in perm]).demo_id == "d1"
 
 
 def test_demo_cross_view_distances_are_the_stored_ones(library, clean_oracle):

@@ -1,0 +1,156 @@
+"""The role of a damaged file decides the exit code: 2 for an input the user
+names (`--config`, `--layout`, a library's index, summaries and sidecars), 4
+for a session artifact (checkpoint, session log, dataset manifest). Each
+file is damaged three ways (missing, not JSON, a required key deleted) and
+the message must name it."""
+
+import json
+import shutil
+
+import pytest
+
+from conftest import drop_key
+from keywarp.cli import main
+from keywarp.sim import default_layout, layout_to_dict
+
+INPUT, ARTIFACT = 2, 4
+
+
+@pytest.fixture(scope="module")
+def lib(tmp_path_factory):
+    out = tmp_path_factory.mktemp("roles") / "lib"
+    assert main(["gen-demos", "--out", str(out), "--n", "1", "--seed", "0"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def session(lib, tmp_path_factory):
+    out = tmp_path_factory.mktemp("roles") / "s"
+    assert main(["play", "--demos", str(lib), "--out", str(out), "--iterations", "10"]) == 0
+    return out
+
+
+def _first_entry(lib):
+    return json.loads((lib / "index.json").read_text())["demos"][0]
+
+
+def _config(w, lib, s):
+    path = w / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "layout": layout_to_dict(default_layout())}))
+    return path, ["play", "--config", str(path), "--demos", str(lib), "--iterations", "1",
+                  "--out", str(w / "o")], ["layout", "table"]
+
+
+def _layout(w, lib, s):
+    path = w / "layout.json"
+    path.write_text(json.dumps(layout_to_dict(default_layout())))
+    return path, ["gen-demos", "--layout", str(path), "--n", "1", "--out", str(w / "o")], ["home"]
+
+
+def _play_on_library(name, keys):
+    def setup(w, lib, s):
+        copy = w / "lib"
+        shutil.copytree(lib, copy)
+        path = copy / _first_entry(copy).get(name, name)
+        return path, ["play", "--demos", str(copy), "--iterations", "1",
+                      "--out", str(w / "o")], keys
+    return setup
+
+
+def _session_copy(w, s):
+    """A copy of the session whose last checkpoint names the copy."""
+    copy = w / "s"
+    shutil.copytree(s, copy)
+    checkpoint = copy / "checkpoints" / "ckpt_000010.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["config"]["out_dir"] = str(copy)
+    checkpoint.write_text(json.dumps(doc))
+    return copy, checkpoint
+
+
+def _resume(name, keys):
+    def setup(w, lib, s):
+        copy, checkpoint = _session_copy(w, s)
+        path = checkpoint if name == "checkpoint" else copy / name
+        return path, ["play", "--out", str(copy), "--iterations", "12",
+                      "--resume", str(checkpoint)], keys
+    return setup
+
+
+def _report(w, lib, s):
+    path = w / "session_log.jsonl"
+    shutil.copyfile(s / "session_log.jsonl", path)
+    return path, ["report", "--log", str(path), "--out", str(w / "o")], [0, "success"]
+
+
+def _export(w, lib, s):
+    copy, _ = _session_copy(w, s)
+    return (copy / "dataset" / "manifest.json",
+            ["export", "--session", str(copy), "--out", str(w / "o")], ["episodes"])
+
+
+FILES = {
+    "config": (_config, INPUT),
+    "layout": (_layout, INPUT),
+    "index": (_play_on_library("index.json", ["demos"]), INPUT),
+    "summary": (_play_on_library("file", ["rig"]), INPUT),
+    "sidecar": (_play_on_library("sidecar", ["final"]), INPUT),
+    "checkpoint": (_resume("checkpoint", ["world"]), ARTIFACT),
+    "log-resume": (_resume("session_log.jsonl", [0, "success"]), ARTIFACT),
+    "log-report": (_report, ARTIFACT),
+    "manifest": (_export, ARTIFACT),
+}
+
+
+def _missing(path, keys):
+    path.unlink()
+
+
+def _not_json(path, keys):
+    path.write_text("not json\n" + path.read_text())
+
+
+def _key_deleted(path, keys):
+    """Delete the key at `keys`; a leading integer picks a line of a JSON-lines file."""
+    if isinstance(keys[0], int):
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[keys[0]])
+        drop_key(record, keys[1:])
+        lines[keys[0]] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+    else:
+        doc = json.loads(path.read_text())
+        drop_key(doc, keys)
+        path.write_text(json.dumps(doc))
+
+
+def _checkpoint_layout_without_keys(path, keys):
+    doc = json.loads(path.read_text())
+    doc["config"]["layout"] = {"table": {}}
+    path.write_text(json.dumps(doc))
+
+
+CASES = [(name, damage) for name in FILES
+         for damage in (_missing, _not_json, _key_deleted)]
+CASES.append(("checkpoint", _checkpoint_layout_without_keys))
+
+
+def _exit_code(argv):
+    """`main`'s exit code, or 1 where the process would end in a traceback."""
+    try:
+        return main(argv)
+    except Exception:
+        return 1
+
+
+@pytest.mark.parametrize("name, damage", CASES,
+                         ids=[f"{n}-{d.__name__.strip('_')}" for n, d in CASES])
+def test_damaged_file_exits_with_its_roles_code_naming_it(lib, session, tmp_path, capsys,
+                                                          name, damage):
+    setup, code = FILES[name]
+    path, argv, keys = setup(tmp_path, lib, session)
+    damage(path, keys)
+    got = _exit_code(argv)
+    assert got != 1
+    assert got == code
+    assert str(path) in capsys.readouterr().err
