@@ -230,12 +230,13 @@ class SimWorld:
             k: _ObjState(position=np.array(objects.child(k).child("position").vector(3)),
                          upright=objects.child(k).child("upright").boolean())
             for k in objects.mapping()})
-        g, riders = p.child("gripper"), p.child("gripper").child("riders")
+        g = p.child("gripper")
         world.gripper_position = np.array(g.child("position").vector(3))
         world.gripper_orientation = np.array(g.child("orientation").vector(4))
         world.gripper_closed = g.child("closed").boolean()
         attached = g.child("attached")
         world.attached = None if attached.doc is None else attached.string()
+        riders = g.child("riders")
         world._rider_offsets = {k: np.array(riders.child(k).vector(3))
                                 for k in riders.mapping()}
         return world
