@@ -34,7 +34,10 @@ print(f"\nserialized {demo.id} to {len(payload)} bytes; "
       f"roundtrip equal: {clone == demo}")
 
 side = sidecars[demo.id]
-print("oracle sidecar annotations (initial frame):")
-for a in side["initial"]["annotations"]:
-    print(f"  {a['view']:>5} px {np.round(a['pixel'], 1).tolist()} -> "
+print("oracle sidecar anchors, one per waypoint (initial frame):")
+for t, a in enumerate(side["initial"]["anchors"]):
+    print(f"  waypoint {t} (left px {demo.keypoints['left'][t].round(1).tolist()}) -> "
           f"anchor {a['anchor']!r} + offset {np.round(a['offset'], 3).tolist()}")
+final = side["final"]
+print(f"after the demo, waypoint {demo.num_waypoints - 1} -> anchor {final['anchor']!r} "
+      f"+ offset {np.round(final['offset'], 3).tolist()}")

@@ -104,27 +104,30 @@ def _start_slots_for(task_id: str):
     return None
 
 
+# play's session flags, each with the SessionConfig field it overrides (--config
+# gives them all); --resume refuses them: a session keeps its checkpointed config
+SESSION_FLAGS = {"config": None, "demos": "demo_library", "seed": "seed", "k": "k",
+                 "sigma": "pixel_noise_sigma", "outlier_rate": "outlier_rate",
+                 "residual_max": "residual_max", "gap_max": "gap_max"}
+
+
 def cmd_play(args) -> int:
+    given = [flag for flag in SESSION_FLAGS if getattr(args, flag) is not None]
     if args.resume:
-        given = [f"--{name.replace('_', '-')}" for name in
-                 ("config", "demos", "seed", "k", "sigma", "outlier_rate",
-                  "residual_max", "gap_max") if getattr(args, name) is not None]
         if given:
-            raise ConfigError(f"{', '.join(given)} cannot be given with --resume: "
+            flags = ", ".join(f"--{flag.replace('_', '-')}" for flag in given)
+            raise ConfigError(f"{flags} cannot be given with --resume: "
                               "the session keeps its checkpointed config")
         session = resume_session(args.resume, iterations=args.iterations,
                                  out_dir=args.out)
     else:
         cfg = (read_json(args.config, lambda p: SessionConfig.from_dict(p.doc))
                if args.config else SessionConfig())
-        overrides = {
-            "seed": args.seed, "iterations": args.iterations, "k": args.k,
-            "pixel_noise_sigma": args.sigma, "outlier_rate": args.outlier_rate,
-            "residual_max": args.residual_max, "gap_max": args.gap_max,
-            "demo_library": args.demos,
-        }
-        cfg = replace(cfg, out_dir=args.out,
-                      **{key: value for key, value in overrides.items() if value is not None})
+        overrides = {SESSION_FLAGS[flag]: getattr(args, flag) for flag in given
+                     if flag != "config"}
+        if args.iterations is not None:
+            overrides["iterations"] = args.iterations
+        cfg = replace(cfg, out_dir=args.out, **overrides)
         if not cfg.demo_library:
             raise ConfigError("a demo library is required (--demos or config)")
         session = run_session(cfg)

@@ -59,7 +59,6 @@ class FilterConfig:
 @dataclass
 class MatchOutcome:
     demo_id: str
-    target_keypoints: dict            # view -> (T, 2); NaN rows where unmatched
     target_waypoints: np.ndarray      # (T, 3); NaN rows where not triangulated
     triangulation_residuals: np.ndarray   # (T,)
     cross_view_gaps: np.ndarray       # (T,) worst |d_demo - d_obs| per waypoint
@@ -100,24 +99,19 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     score +inf. The score is computed only for feasible outcomes.
 
     `demo_side_distances` is the demo half of the cross-view check as
-    {view: (T,) distances}. The demo never changes, so a library stores it
-    with each demo, computed once by `demo_cross_view_distances`.
+    {view: (T,) distances}. The demo never changes, so a library computes it
+    once per demo, with `demo_cross_view_distances`.
     """
     T = demo.num_waypoints
-    kp_out = {v: np.full((T, 2), np.nan) for v in ("left", "right")}
     w_out = np.full((T, 3), np.nan)
     residuals = np.full(T, np.inf)
     gaps = np.full(T, np.inf)
     feasible = True
 
     for t in range(T):
-        matched = {}
-        for view in ("left", "right"):
-            m = matcher.match(demo.snapshot, obs, demo.keypoints[view][t], view, view)
-            if m is not None:
-                matched[view] = m
-                kp_out[view][t] = m.pixel
-        if len(matched) < 2:
+        matched = {view: matcher.match(demo.snapshot, obs, demo.keypoints[view][t], view, view)
+                   for view in ("left", "right")}
+        if None in matched.values():
             feasible = False
             continue
         try:
@@ -141,8 +135,7 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
             feasible = False
 
     score = float(np.linalg.norm(demo.waypoints - w_out)) if feasible else float("inf")
-    return MatchOutcome(demo_id=demo.id, target_keypoints=kp_out,
-                        target_waypoints=w_out,
+    return MatchOutcome(demo_id=demo.id, target_waypoints=w_out,
                         triangulation_residuals=residuals,
                         cross_view_gaps=gaps, feasible=feasible, score=score)
 

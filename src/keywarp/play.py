@@ -553,6 +553,10 @@ def _new_record(iteration) -> dict:
 
 
 RECORD_KEYS = frozenset(_new_record(0))
+# the exact JSON types of the record fields that accounting and reports read
+RECORD_TYPES = {"iteration": (int,), "success": (bool,), "executed": (bool,),
+                **dict.fromkeys(("attempted_task", "selected_demo", "intervention"),
+                                (str, type(None)))}
 
 
 def _match_summary(outcome) -> dict:
@@ -618,8 +622,8 @@ def export_success_dataset(session_dir, out_dir) -> dict:
 def read_session_log(path) -> list:
     """The records of a session log. An unparsable last line is a record torn
     by a crash mid-append and is dropped; any other line that is not a JSON
-    object with every key of `RECORD_KEYS` is an OSError naming the file and
-    the line."""
+    object with every key of `RECORD_KEYS`, of the type `RECORD_TYPES` gives
+    where it names one, is an OSError naming the file and the line."""
     lines = Path(path).read_text().splitlines()
     records = []
     for n, line in enumerate(lines, 1):
@@ -636,6 +640,9 @@ def read_session_log(path) -> list:
         if not RECORD_KEYS <= record.keys():
             raise OSError(f"{path} line {n} is not a log record: missing keys "
                           f"{sorted(RECORD_KEYS - record.keys())}")
+        mistyped = [k for k, types in RECORD_TYPES.items() if type(record[k]) not in types]
+        if mistyped:
+            raise OSError(f"{path} line {n} is not a log record: wrong type for {mistyped}")
         records.append(record)
     return records
 

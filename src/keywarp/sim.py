@@ -508,7 +508,7 @@ class CorrespondenceOracle:
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
-        # library's sidecars) instead of allocating copies
+        # library's annotations) instead of allocating copies
         pixel = tuple(map(float, pixel))
         offset = None if offset is None else tuple(map(float, offset))
         self._annotations.setdefault((state_id, view, pixel), (anchor, offset))
@@ -684,9 +684,10 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
                         seed: int = 0):
     """Scripted demonstrations for one task: spawn, script, execute, summarize.
 
-    Returns (summaries, sidecars) where each sidecar carries the oracle
-    annotations for the demo's initial frame, plus the post-execution scene
-    and the final-keypoint annotation used for success verification.
+    Returns (summaries, sidecars) where each sidecar anchors each waypoint
+    on the object or slot it is placed relative to in the initial scene, and
+    holds the post-execution scene with the last waypoint re-anchored on the
+    object where it came to rest, for success verification.
     """
     summaries, sidecars = [], {}
     for i in range(n):
@@ -708,42 +709,20 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
         rng = np.random.default_rng(demo_seed + 1)
         traj, gp, rp, anchor, anchor_pos = scripted_pick_place(
             layout, world, task, rng)
-        obs = snapshot(world)
         demo_id = f"{task.id}-{i:02d}"
-        summary = summarize_demo(traj, obs, task.id, demo_id)
+        summary = summarize_demo(traj, snapshot(world), task.id, demo_id)
 
         execute_plan(world, traj)
         if symbolic_state(world).slot_of(task.obj) != task.dest:
             raise RuntimeError(f"scripted demo {demo_id!r} did not reach "
                                f"{task.dest!r}; layout is inconsistent")
-        obj_final = world.objects[task.obj].position
-
-        grasp_offset = np.asarray(layout.object_spec(task.obj).grasp_offset)
-        initial_annots, final_annots = [], []
-        for view in ("left", "right"):
-            kp = summary.keypoints[view]
-            initial_annots.append({"view": view, "pixel": kp[0].tolist(),
-                                   "anchor": task.obj,
-                                   "offset": grasp_offset.tolist()})
-            initial_annots.append({"view": view, "pixel": kp[1].tolist(),
-                                   "anchor": anchor,
-                                   "offset": (rp - anchor_pos).tolist()})
-            final_annots.append({"view": view, "pixel": kp[1].tolist(),
-                                 "anchor": task.obj,
-                                 "offset": (rp - obj_final).tolist()})
-
-        # The demo half of the cross-view check never changes (the demo frames
-        # are fixed), so it is computed once here, with a clean matcher.
-        probe = CorrespondenceOracle(OracleConfig())
-        for a in initial_annots:
-            probe.register_annotation(obs.state_id, a["view"], a["pixel"],
-                                      a["anchor"], a["offset"])
-        demo_side = demo_cross_view_distances(probe, summary)
-
         sidecars[demo_id] = {
-            "initial": {"annotations": initial_annots, "cross_view_distances": demo_side},
+            "initial": {"anchors": [
+                {"anchor": task.obj, "offset": list(layout.object_spec(task.obj).grasp_offset)},
+                {"anchor": anchor, "offset": (rp - anchor_pos).tolist()}]},
             "final": {"scene": snapshot_content_to_dict(snapshot(world).content),
-                      "annotations": final_annots},
+                      "anchor": task.obj,
+                      "offset": (rp - world.objects[task.obj].position).tolist()},
         }
         summaries.append(summary)
     return summaries, sidecars
@@ -772,29 +751,37 @@ class DemoLibrary:
         self.task_ids = sorted({d.task_id for d in demos})
         self.by_task = {t: sorted(d.id for d in demos if d.task_id == t)
                         for t in self.task_ids}
-        # annotations: (state_id, view, pixel, anchor, offset), for register_with
-        self.demo_side_distances, self.final_snapshots, self.annotations = {}, {}, []
+        # annotations: (state_id, view, pixel, anchor, offset), for register_with.
+        # A sidecar anchor stands for its waypoint's keypoint in both views.
+        self.final_snapshots, self.annotations = {}, []
         for demo_id, side in sidecars.items():
+            demo = self.demos[demo_id]
             where = f"sidecar[{demo_id}]"
             p = _Probe(side, f"{files[demo_id]}: {where}" if files else where)
             initial, final = p.child("initial"), p.child("final")
-            distances = initial.child("cross_view_distances")
-            self.demo_side_distances[demo_id] = {
-                v: np.array([x.number() for x in distances.child(v).array()])
-                for v in ("left", "right")}
+            anchors = initial.child("anchors").array()
+            if len(anchors) != demo.num_waypoints:
+                initial.child("anchors").fail(f"expected one anchor per waypoint "
+                                              f"({demo.num_waypoints}), got {len(anchors)}")
             self.final_snapshots[demo_id] = SceneSnapshot(
                 rig=rig, content=snapshot_content_from_probe(final.child("scene")))
-            for snap, block in ((self.demos[demo_id].snapshot, initial),
-                                (self.final_snapshots[demo_id], final)):
-                self.annotations += [
-                    (snap.state_id, a.child("view").string(), a.child("pixel").vector(2),
-                     a.child("anchor").string(), a.child("offset").vector(3))
-                    for a in block.child("annotations").array()]
+            marks = [(demo.snapshot, t, a) for t, a in enumerate(anchors)]
+            for snap, t, a in marks + [(self.final_snapshots[demo_id], -1, final)]:
+                anchor, offset = a.child("anchor").string(), a.child("offset").vector(3)
+                self.annotations += [(snap.state_id, view, demo.keypoints[view][t].tolist(),
+                                      anchor, offset) for view in ("left", "right")]
+        # The demo half of the cross-view check never changes (the demo frames
+        # are fixed), so it is computed once here, with a clean matcher.
+        oracle = CorrespondenceOracle(OracleConfig())
+        self.register_with(oracle)
+        self.demo_side_distances = {demo_id: demo_cross_view_distances(oracle, demo)
+                                    for demo_id, demo in self.demos.items()}
 
     @staticmethod
     def load(directory) -> "DemoLibrary":
         """The library in `directory`; ConfigError naming the file when the
-        index, a summary or a sidecar is missing, not JSON or malformed."""
+        index, a summary or a sidecar is missing, not JSON or malformed, or
+        a summary's id is not its index entry's."""
         directory = Path(directory)
         entries = read_json(directory / INDEX_FILE, lambda p: [
             (e.child("id").string(), directory / e.child("file").string(),
@@ -802,6 +789,9 @@ class DemoLibrary:
         if not entries:
             raise ConfigError(f"demo library at {directory} is empty")
         demos = [read_json(summary, summary_from_probe) for _, summary, _ in entries]
+        for (demo_id, summary, _), demo in zip(entries, demos):
+            if demo.id != demo_id:
+                raise ConfigError(f"{summary}: id {demo.id!r} is not the index's {demo_id!r}")
         files = {demo_id: sidecar for demo_id, _, sidecar in entries}
         sidecars = {demo_id: read_json(path, _Probe.mapping) for demo_id, path in files.items()}
         return DemoLibrary(demos, sidecars, demos[0].snapshot.rig, files)

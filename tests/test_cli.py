@@ -227,8 +227,18 @@ def _sidecar_without_final(lib):
     return f"sidecar[{entry['id']}]: missing key 'final'"
 
 
-@pytest.mark.parametrize("break_library", [_index_not_json, _sidecar_without_final],
-                         ids=["index-not-json", "sidecar-without-final"])
+def _index_id_differs_from_summary(lib):
+    index = json.loads((lib / "index.json").read_text())
+    entry = index["demos"][0]
+    demo_id, entry["id"] = entry["id"], "renamed"
+    (lib / "index.json").write_text(json.dumps(index))
+    return f"{lib / entry['file']}: id {demo_id!r} is not the index's 'renamed'"
+
+
+@pytest.mark.parametrize("break_library", [_index_not_json, _sidecar_without_final,
+                                           _index_id_differs_from_summary],
+                         ids=["index-not-json", "sidecar-without-final",
+                              "index-id-differs-from-summary"])
 @pytest.mark.parametrize("command", [["play", "--iterations", "1"],
                                      ["warp", "--task", "pineapple_table_to_shelf"]],
                          ids=["play", "warp"])
@@ -281,12 +291,13 @@ def _index_without_sidecar(lib):
     return f"{lib / 'index.json'}.demos[0]: missing key 'sidecar'"
 
 
-def _sidecar_without_cross_view_distances(lib):
+def _sidecar_with_one_anchor_too_few(lib):
     entry = json.loads((lib / "index.json").read_text())["demos"][0]
     side = json.loads((lib / entry["sidecar"]).read_text())
-    del side["initial"]["cross_view_distances"]
+    side["initial"]["anchors"].pop()
     (lib / entry["sidecar"]).write_text(json.dumps(side))
-    return f"sidecar[{entry['id']}].initial: missing key 'cross_view_distances'"
+    return (f"{lib / entry['sidecar']}: sidecar[{entry['id']}].initial.anchors: "
+            "expected one anchor per waypoint (2), got 1")
 
 
 def _sidecar_file_deleted(lib):
@@ -297,11 +308,11 @@ def _sidecar_file_deleted(lib):
 
 @pytest.mark.parametrize("break_library", [_index_without_demos, _sidecar_without_initial,
                                            _index_without_sidecar,
-                                           _sidecar_without_cross_view_distances,
+                                           _sidecar_with_one_anchor_too_few,
                                            _sidecar_file_deleted],
                          ids=["index-without-demos", "sidecar-without-initial",
                               "index-without-sidecar",
-                              "sidecar-without-cross-view-distances",
+                              "sidecar-with-one-anchor-too-few",
                               "sidecar-file-deleted"])
 @pytest.mark.parametrize("command", [["play", "--iterations", "1"],
                                      ["warp", "--task", "pineapple_table_to_shelf"]],

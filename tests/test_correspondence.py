@@ -144,7 +144,7 @@ def test_no_match_marks_demo_infeasible(library, clean_oracle):
     outcome = match_demo(_NoMatchLeft(clean_oracle), demo, target, FilterConfig(),
                          library.demo_side_distances[demo.id])
     assert not outcome.feasible
-    assert np.all(np.isnan(outcome.target_keypoints["left"]))
+    assert np.all(np.isnan(outcome.target_waypoints))
 
 
 def test_feasibility_monotone_in_thresholds(library):
@@ -201,8 +201,7 @@ def test_outlier_contamination_is_rejected(library):
 
 def _outcome(demo_id, score):
     feasible = np.isfinite(score)
-    return MatchOutcome(demo_id=demo_id, target_keypoints={},
-                        target_waypoints=np.zeros((1, 3)),
+    return MatchOutcome(demo_id=demo_id, target_waypoints=np.zeros((1, 3)),
                         triangulation_residuals=np.zeros(1),
                         cross_view_gaps=np.zeros(1), feasible=feasible,
                         score=float(score))
@@ -234,8 +233,8 @@ def test_select_source_demo_permutation_invariant():
 
 
 def test_demo_cross_view_distances_are_the_stored_ones(library, clean_oracle):
-    """The library's stored demo side is what `demo_cross_view_distances`
-    computes with a clean oracle, bit for bit."""
+    """The demo side a library derives at load is what
+    `demo_cross_view_distances` computes with a clean oracle, bit for bit."""
     for demo in library.demos.values():
         stored = library.demo_side_distances[demo.id]
         computed = demo_cross_view_distances(clean_oracle, demo)

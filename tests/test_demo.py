@@ -63,10 +63,9 @@ def test_scripted_demo_has_grasp_and_release_waypoints(layout):
         # the grasp waypoint sits exactly on the staged object's grasp point
         obj_pos = np.array(demo.snapshot.content.objects[task.obj].position)
         assert np.allclose(demo.waypoints[0], obj_pos + grasp_offset, atol=1e-12)
-        # the release waypoint matches the recorded destination annotation
-        side = sidecars[demo.id]["initial"]["annotations"]
-        release = next(a for a in side
-                       if a["view"] == "left" and a["anchor"] == task.dest)
+        # the release waypoint matches its recorded destination anchor
+        release = sidecars[demo.id]["initial"]["anchors"][1]
+        assert release["anchor"] == task.dest
         anchor_pos = np.array(demo.snapshot.content.anchors[task.dest])
         assert np.allclose(demo.waypoints[1], anchor_pos + release["offset"],
                            atol=1e-12)

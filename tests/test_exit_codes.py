@@ -130,9 +130,19 @@ def _checkpoint_layout_without_keys(path, keys):
     path.write_text(json.dumps(doc))
 
 
+def _value_of_the_wrong_type(path, keys):
+    """Set the value at `keys` of a JSON-lines file to a string."""
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[keys[0]])
+    record[keys[1]] = "yes"
+    lines[keys[0]] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+
+
 CASES = [(name, damage) for name in FILES
          for damage in (_missing, _not_json, _key_deleted)]
 CASES.append(("checkpoint", _checkpoint_layout_without_keys))
+CASES += [(name, _value_of_the_wrong_type) for name in ("log-resume", "log-report")]
 
 
 def _exit_code(argv):

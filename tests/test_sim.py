@@ -400,11 +400,11 @@ def test_demo_library_files_and_sidecars(tmp_path, layout):
     save_demo_library(tmp_path / "lib", demos, sidecars)
     lib = DemoLibrary.load(tmp_path / "lib")
     assert sorted(lib.demos) == sorted(d.id for d in demos)
-    for demo_id in lib.demos:
+    for demo_id, demo in lib.demos.items():
         side = lib.sidecars[demo_id]
-        assert {"initial", "final"} <= set(side)
-        assert len(side["initial"]["annotations"]) == 4   # 2 views x 2 keypoints
-        assert len(side["final"]["annotations"]) == 2
+        assert set(side) == {"initial", "final"}
+        assert len(side["initial"]["anchors"]) == demo.num_waypoints == 2
+        assert set(side["final"]) == {"scene", "anchor", "offset"}
         assert demo_id in lib.final_snapshots
         assert demo_id in lib.demo_side_distances
 
