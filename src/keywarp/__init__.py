@@ -17,7 +17,7 @@ from .demo import (ConfigError, DemoSummary, NoWaypoints, ObjectState,
 from .geometry import (Camera, CameraIntrinsics, DegenerateRays,
                        NonPositiveDepth, Ray, StereoRig, intersect_rays,
                        look_at_camera, point_ray_distance, project,
-                       quat_rotate, quat_slerp, ray_through_pixel, triangulate)
+                       quat_slerp, ray_through_pixel, triangulate)
 from .play import (EvaluatorInterface, NoPlan, PlannerInterface, PlaySession,
                    RemoteEvaluator, RemotePlanner, RuleBasedEvaluator,
                    RuleBasedPlanner, SessionConfig, convex_hull_area,
@@ -31,7 +31,7 @@ from .sim import (CorrespondenceOracle, DemoLibrary, Layout,
                   layout_to_dict, randomize_world, scripted_pick_place,
                   snapshot, spawn_world, symbolic_state)
 from .tasks import SymbolicState, TaskSpec, builtin_tasks, task_map
-from .warp import (LengthMismatch, WarpedPlan, plan_to_dict, retime_segment,
-                   segment_alphas, warp_segment, warp_trajectory)
+from .warp import (LengthMismatch, WarpedPlan, plan_to_dict, segment_alphas,
+                   warp_trajectory)
 
 __version__ = "0.1.0"

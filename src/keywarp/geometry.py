@@ -63,22 +63,6 @@ def _floats(v):
     return v.tolist() if isinstance(v, np.ndarray) else [float(c) for c in v]
 
 
-def quat_rotate(q, v):
-    """Rotate vector(s) v of shape (..., 3) by unit quaternion q."""
-    q = np.asarray(q, dtype=float).tolist()
-    v = np.asarray(v, dtype=float)
-    return np.stack(_rotate(*q, v[..., 0], v[..., 1], v[..., 2]), axis=-1)
-
-
-def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def quat_from_matrix(R):
     """Shepperd's method; returns the quaternion with non-negative w."""
     R = np.asarray(R, dtype=float)

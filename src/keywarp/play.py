@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional, Protocol, get_args, get_type_hints
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .bandit import ArmStats, sample_target_task, select_top_k, update_stats
 from .correspondence import AllInfeasible, FilterConfig, MatcherInterface, match_demo, select_source_demo
@@ -316,10 +315,12 @@ class PlaySession:
                               f"{self.library.task_ids}")
         self.tasks = task_map(tasks)
         self.task_ids = sorted(self.tasks)
-        self.planner = (RemotePlanner(cfg.planner_url, cfg.remote_timeout_s)
-                        if cfg.planner_url else RuleBasedPlanner(tasks))
-        self.evaluator = (RemoteEvaluator(cfg.evaluator_url, cfg.remote_timeout_s)
-                          if cfg.evaluator_url else RuleBasedEvaluator())
+        self.planner: PlannerInterface = (
+            RemotePlanner(cfg.planner_url, cfg.remote_timeout_s)
+            if cfg.planner_url else RuleBasedPlanner(tasks))
+        self.evaluator: EvaluatorInterface = (
+            RemoteEvaluator(cfg.evaluator_url, cfg.remote_timeout_s)
+            if cfg.evaluator_url else RuleBasedEvaluator())
         self.world = spawn_world(cfg.world_layout, seed=cfg.seed + 1, params=cfg.world_params)
         self.rng = np.random.default_rng(cfg.seed)
         self.out_dir = Path(cfg.out_dir)
@@ -573,11 +574,9 @@ def _match_summary(outcome) -> dict:
 
 def run_session(cfg: SessionConfig) -> PlaySession:
     """Fresh session: run all configured iterations and emit artifacts."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True,
-                                                indent=2))
-    session = PlaySession.start(cfg)
+    session = PlaySession.start(cfg)   # a bad library fails before anything is written
+    (session.out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True,
+                                                            indent=2))
     session.run()
     session.save_checkpoint()
     return session.finalize()
@@ -648,14 +647,24 @@ def read_session_log(path) -> list:
 
 
 def convex_hull_area(points) -> float:
-    """Area of the 2-D convex hull; 0 for fewer than 3 or collinear points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 3:
+    """Area of the 2-D convex hull; 0 for fewer than 3 distinct or for
+    collinear points. Andrew's monotone chain, then the shoelace formula."""
+    pts = sorted({(float(x), float(y)) for x, y in points})
+
+    def chain(pts):   # one half of the hull, counterclockwise, last point dropped
+        out = []
+        for x, y in pts:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (x - out[-2][0])) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:
         return 0.0
-    try:
-        return float(ConvexHull(pts).volume)   # in 2-D, volume is the area
-    except QhullError:
-        return 0.0
+    return abs(sum(x0 * y1 - x1 * y0
+                   for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))) / 2.0
 
 
 def task_table(records) -> list:

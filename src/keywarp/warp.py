@@ -65,15 +65,6 @@ def _displace(positions, alphas, disp_start, disp_end):
     return positions + ((1.0 - alphas) * disp_start + alphas * disp_end)
 
 
-def warp_segment(positions, seg_start, seg_end, disp_start, disp_end) -> np.ndarray:
-    """Displace a segment's action positions by the alpha-blended endpoint
-    displacements. Orientations and gripper bits are untouched by warping
-    and are carried through by the caller."""
-    positions = np.asarray(positions, dtype=float)
-    return _displace(positions, segment_alphas(positions, seg_start, seg_end),
-                     np.asarray(disp_start, dtype=float), np.asarray(disp_end, dtype=float))
-
-
 def _step_lengths(positions):
     # np.linalg.norm(np.diff(positions, axis=0), axis=1), spelled out: the
     # same operations without the Python-level overhead of the wrappers
@@ -117,29 +108,6 @@ def _resample(arc, positions, quats, idx, s_target):
     return out_pos, quat_slerp(quats[idx], quats[idx + 1], theta)
 
 
-def retime_segment(source_positions, warped_positions, orientations):
-    """Resample a warped segment so per-step speed matches the source.
-
-    The new step count is round((warped_len / source_len) * steps), at least
-    one step. Sample j of the output sits at arc length f(j / new_steps) *
-    warped_len along the warped polyline, where f is the source's normalized
-    time-to-arc profile. Positions interpolate linearly and orientations
-    slerp between the bracketing warped samples; the endpoints are pinned
-    exactly. Zero-length sources keep their timing unchanged.
-    """
-    src = np.asarray(source_positions, dtype=float)
-    warped = np.asarray(warped_positions, dtype=float)
-    quats = np.asarray(orientations, dtype=float)
-    s_warp = _arc(_step_lengths(warped))
-    brackets = _retime_brackets(_arc(_step_lengths(src)), s_warp)
-    if brackets is None:
-        return warped.copy(), quats.copy()
-    out_pos, out_quat = _resample(s_warp, warped, quats, *brackets)
-    out_pos[0], out_pos[-1] = warped[0], warped[-1]
-    out_quat[0], out_quat[-1] = quats[0], quats[-1]
-    return out_pos, out_quat
-
-
 def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
     """Warp the whole demo onto target waypoints and retime every segment.
 
@@ -152,8 +120,8 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
 
     All segments are warped and retimed in one pass over their stacked
     samples: per segment only the alphas and the retimed sample brackets
-    are computed, so the result equals warp_segment then retime_segment on
-    each segment, value for value.
+    are computed. The result equals, value for value, the per-segment
+    reference `warp_segment` then `retime_segment` in tests/oracle_utils.py.
     """
     w_new = np.asarray(target_waypoints, dtype=float)
     W = demo.waypoints

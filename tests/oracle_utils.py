@@ -1,12 +1,22 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-These deliberately avoid the code paths they are checking: ray
-intersection by zooming grid search, arc-length placement by per-axis
-interpolation against the cumulative arc table, and hull area by monotone
-chain + shoelace.
+The independent ones deliberately avoid the code paths they are checking:
+ray intersection by zooming grid search, and arc-length placement by
+per-axis interpolation against the cumulative arc table. (The coverage
+hull area is checked against scipy's ConvexHull, in test_cli.py.)
+
+The per-segment ones are built on the package's own kernels on purpose:
+`warp_segment` and `retime_segment` are the segment-by-segment reference
+for the one-pass `keywarp.warp.warp_trajectory`, and `quat_rotate` runs
+`keywarp.geometry._rotate`, the kernel behind `project` and
+`ray_through_pixel`, on whole arrays.
 """
 
 import numpy as np
+
+from keywarp.geometry import _rotate, look_at_camera
+from keywarp.warp import (_arc, _displace, _resample, _retime_brackets,
+                          _step_lengths, segment_alphas)
 
 
 def brute_force_ray_midpoint(o1, d1, o2, d2, t_range=None, rounds=8, grid=121):
@@ -63,38 +73,56 @@ def arc_length(points):
     return float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
 
 
-def hull_area_monotone_chain(points):
-    """Convex hull area by Andrew's monotone chain plus the shoelace formula."""
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points, float)})
-    if len(pts) < 3:
-        return 0.0
+def quat_rotate(q, v):
+    """Rotate vector(s) v of shape (..., 3) by unit quaternion q."""
+    q = np.asarray(q, dtype=float).tolist()
+    v = np.asarray(v, dtype=float)
+    return np.stack(_rotate(*q, v[..., 0], v[..., 1], v[..., 2]), axis=-1)
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return 0.0
-    area = 0.0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
+def quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def warp_segment(positions, seg_start, seg_end, disp_start, disp_end):
+    """Displace a segment's action positions by the alpha-blended endpoint
+    displacements. Orientations and gripper bits are untouched by warping
+    and are carried through by the caller."""
+    positions = np.asarray(positions, dtype=float)
+    return _displace(positions, segment_alphas(positions, seg_start, seg_end),
+                     np.asarray(disp_start, dtype=float), np.asarray(disp_end, dtype=float))
+
+
+def retime_segment(source_positions, warped_positions, orientations):
+    """Resample a warped segment so per-step speed matches the source.
+
+    The new step count is round((warped_len / source_len) * steps), at least
+    one step. Sample j of the output sits at arc length f(j / new_steps) *
+    warped_len along the warped polyline, where f is the source's normalized
+    time-to-arc profile. Positions interpolate linearly and orientations
+    slerp between the bracketing warped samples; the endpoints are pinned
+    exactly. Zero-length sources keep their timing unchanged.
+    """
+    src = np.asarray(source_positions, dtype=float)
+    warped = np.asarray(warped_positions, dtype=float)
+    quats = np.asarray(orientations, dtype=float)
+    s_warp = _arc(_step_lengths(warped))
+    brackets = _retime_brackets(_arc(_step_lengths(src)), s_warp)
+    if brackets is None:
+        return warped.copy(), quats.copy()
+    out_pos, out_quat = _resample(s_warp, warped, quats, *brackets)
+    out_pos[0], out_pos[-1] = warped[0], warped[-1]
+    out_quat[0], out_quat[-1] = quats[0], quats[-1]
+    return out_pos, out_quat
 
 
 def random_camera(rng, intrinsics_cls, camera_cls):
     """Camera at a random pose looking roughly at the origin."""
-    from keywarp.geometry import look_at_camera
     intr = intrinsics_cls(fx=float(rng.uniform(200, 800)),
                           fy=float(rng.uniform(200, 800)),
                           cx=float(rng.uniform(200, 440)),

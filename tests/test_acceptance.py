@@ -22,8 +22,9 @@ from keywarp.play import (SessionConfig, coverage_table, read_session_log,
                           resume_session, rule_based_plan, run_session)
 from keywarp.sim import DemoLibrary, default_layout, generate_demo_library
 from keywarp.tasks import BOWL, SHELF, TABLE, SymbolicState, builtin_tasks, task_map
-from keywarp.warp import retime_segment, warp_segment, warp_trajectory
-from oracle_utils import arc_length, brute_force_ray_midpoint, random_camera
+from keywarp.warp import warp_trajectory
+from oracle_utils import (arc_length, brute_force_ray_midpoint, random_camera,
+                          retime_segment, warp_segment)
 from test_bandit import simulate_bandit
 from test_correspondence import _PerturbLeftPrimary, _shifted_snapshot
 

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from conftest import drop_key, json_key_paths
 from keywarp.cli import main
 from keywarp.play import RECORD_KEYS, read_session_log, convex_hull_area
 from keywarp.tasks import builtin_tasks
-from oracle_utils import hull_area_monotone_chain
 
 
 def _files(directory, pattern):
@@ -190,6 +192,17 @@ def test_export_missing_session_exits_4(tmp_path):
                  "--out", str(tmp_path / "d")]) == 4
 
 
+def scipy_hull_area(points) -> float:
+    """Qhull's area (in 2-D its `volume`); 0 where Qhull finds no 2-D hull."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 3:
+        return 0.0
+    try:
+        return float(ConvexHull(pts).volume)
+    except QhullError:
+        return 0.0
+
+
 def test_coverage_hull_matches_independent_implementation(cli_library, tmp_path):
     out = tmp_path / "session"
     main(["play", "--demos", str(cli_library), "--out", str(out),
@@ -197,13 +210,39 @@ def test_coverage_hull_matches_independent_implementation(cli_library, tmp_path)
     records = read_session_log(out / "session_log.jsonl")
     pts = [r["target_waypoints"][0][:2] for r in records if r["success"]]
     assert len(pts) >= 10
-    assert convex_hull_area(pts) == pytest.approx(
-        hull_area_monotone_chain(pts), abs=1e-9)
+    assert convex_hull_area(pts) == pytest.approx(scipy_hull_area(pts), abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(20):
         pts = rng.uniform(0, 1, (int(rng.integers(3, 40)), 2))
-        assert convex_hull_area(pts) == pytest.approx(
-            hull_area_monotone_chain(pts), abs=1e-9)
+        assert convex_hull_area(pts) == pytest.approx(scipy_hull_area(pts), abs=1e-12)
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def hull_inputs(draw):
+    """0-200 points: a unit-square cloud, a cloud over the table's slot
+    region (where play's first waypoints fall), points on one line, or a
+    few points repeated many times."""
+    pts = draw(st.lists(st.tuples(unit, unit), max_size=200))
+    kind = draw(st.sampled_from(["cloud", "slots", "line", "repeats"]))
+    if kind == "slots":
+        return [(0.45 + 0.3 * x, 0.3 * y) for x, y in pts]
+    if kind == "line":
+        c, line = draw(unit), draw(st.sampled_from(["diagonal", "row", "column"]))
+        return [{"diagonal": (x, x), "row": (x, c), "column": (c, x)}[line] for x, _ in pts]
+    if kind == "repeats":
+        return pts[:draw(st.integers(1, 4))] * draw(st.integers(1, 50))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs())
+def test_coverage_hull_equals_scipy(points):
+    ours, qhull = convex_hull_area(points), scipy_hull_area(points)
+    assert abs(ours - qhull) <= 1e-12
+    assert f"{ours:.6f}" == f"{qhull:.6f}"
 
 
 @pytest.mark.parametrize("flag", [["play", "--config"], ["gen-demos", "--layout"]])
@@ -249,6 +288,7 @@ def test_malformed_library_file_exits_2_naming_it(cli_library, tmp_path, capsys,
     expected = break_library(lib)
     assert main(command + ["--demos", str(lib), "--out", str(tmp_path / "o")]) == 2
     assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()   # not even play's config.json
 
 
 @pytest.mark.parametrize("args", [["warp", "--residual-max", "-1"],
@@ -324,6 +364,7 @@ def test_library_file_missing_field_exits_2_naming_its_path(cli_library, tmp_pat
     expected = break_library(lib)
     assert main(command + ["--demos", str(lib), "--out", str(tmp_path / "o")]) == 2
     assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()   # not even play's config.json
 
 
 def _put_back_dropped_copies(lib, state_id):

@@ -4,10 +4,11 @@ import pytest
 from keywarp.geometry import (Camera, CameraIntrinsics, DegenerateRays,
                               NonPositiveDepth, Ray, StereoRig, intersect_rays,
                               look_at_camera, point_ray_distance, project,
-                              quat_from_matrix, quat_rotate, quat_slerp,
-                              quat_to_matrix, ray_through_pixel, triangulate)
+                              quat_from_matrix, quat_slerp, ray_through_pixel,
+                              triangulate)
 from oracle_utils import (brute_force_point_ray_distance,
-                          brute_force_ray_midpoint, random_camera)
+                          brute_force_ray_midpoint, quat_rotate, quat_to_matrix,
+                          random_camera)
 
 SIMPLE_INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0,
                                width=100, height=100)

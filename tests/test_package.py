@@ -1,0 +1,49 @@
+"""Guards on what the package ships: numpy is its only third-party import,
+and every public function or class has a caller outside the tests."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "keywarp"
+
+
+def test_import_keywarp_loads_no_scipy():
+    code = "import json, sys, keywarp; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    assert "keywarp" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def _used_names(path) -> set:
+    """Every name a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of `src/keywarp` is read by the
+    package itself (its `__init__` re-exports do not count), by an example
+    in docs/examples, or is named in README.md."""
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    used = set().union(*map(_used_names, modules),
+                       *map(_used_names, (ROOT / "docs" / "examples").glob("*.py")))
+    readme = (ROOT / "README.md").read_text()
+    uncalled = [f"{path.stem}.{node.name}"
+                for path in modules
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in used
+                and not re.search(rf"\b{node.name}\b", readme)]
+    assert uncalled == []

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from keywarp.demo import Trajectory, trajectory_from_parts
 from keywarp.geometry import (CameraIntrinsics, StereoRig, look_at_camera,
-                              point_ray_distance, project, quat_rotate,
+                              point_ray_distance, project,
                               ray_through_pixel, triangulate)
 from keywarp.sim import (SimWorld, WorldParams, _close_gripper, _open_gripper,
                          default_layout, execute_plan, generate_demo_library,
                          spawn_world)
 from keywarp.tasks import BOWL, builtin_tasks
-from keywarp.warp import retime_segment, warp_segment, warp_trajectory
-from oracle_utils import arc_length
+from keywarp.warp import warp_trajectory
+from oracle_utils import arc_length, quat_rotate, retime_segment, warp_segment
 
 LAYOUT = default_layout()
 INTR = CameraIntrinsics(fx=420.0, fy=400.0, cx=320.0, cy=240.0,

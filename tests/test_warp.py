@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from keywarp.demo import trajectory_from_parts
-from keywarp.warp import (LengthMismatch, retime_segment, segment_alphas,
-                          warp_segment, warp_trajectory)
-from oracle_utils import arc_length, arc_position
+from keywarp.warp import LengthMismatch, segment_alphas, warp_trajectory
+from oracle_utils import arc_length, arc_position, retime_segment, warp_segment
 
 DOWN = np.array([0.0, 1.0, 0.0, 0.0])
 
