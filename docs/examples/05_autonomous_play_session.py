@@ -1,15 +1,17 @@
 """A complete autonomous play session, end to end.
 
 Generates a demo library, runs a 150-iteration reset-free session with
-mild sensing noise, and prints the resulting statistics, coverage growth,
-and dataset manifest. Everything lands in ./play_session_output/.
+mild sensing noise, and prints the resulting statistics and coverage
+growth. It then exports the success-filtered dataset, re-warped from the
+session log and the library, and prints its manifest. Everything lands in
+./play_session_output/.
 """
 
-import json
 from pathlib import Path
 
 from keywarp.demo import save_demo_library
-from keywarp.play import SessionConfig, coverage_table, read_session_log, run_session
+from keywarp.play import (SessionConfig, coverage_table, export_success_dataset,
+                          read_session_log, run_session)
 from keywarp.sim import DemoLibrary, default_layout, generate_demo_library
 from keywarp.tasks import builtin_tasks
 
@@ -46,8 +48,9 @@ demo_area = sum(r[3] for r in rows)
 print(f"grasp-point coverage: play {play_area:.4f} m^2 vs "
       f"seed demos {demo_area:.4f} m^2 ({play_area / max(demo_area, 1e-9):.1f}x)")
 
-manifest = json.loads((out / "session" / "dataset" / "manifest.json").read_text())
-print(f"dataset manifest: {manifest['tasks']}")
-print(f"\nartifacts in {out / 'session'}: session_log.jsonl, checkpoints/, "
-      "dataset/, report.txt, tasks.csv, arms.csv, coverage.csv")
+manifest = export_success_dataset(out / "session", out / "dataset")
+print(f"exported {len(manifest['episodes'])} episodes to {out / 'dataset'}; "
+      f"manifest tasks: {manifest['tasks']}")
+print(f"\nartifacts in {out / 'session'}: config.json, session_log.jsonl, "
+      "session_state.json, checkpoints/, report.txt, tasks.csv, arms.csv, coverage.csv")
 print((out / "session" / "report.txt").read_text())

@@ -1,17 +1,18 @@
 """Command-line entry points: gen-demos, warp, play, report, export.
 
 Exit codes: 0 success; 2 a bad flag or a bad input file (--config,
---layout, a library's index, summaries and sidecars); 3 no feasible demo
-match; 4 a bad session artifact (a checkpoint, session_log.jsonl,
-dataset/manifest.json) or a failed write. A file is bad when it is
-missing, not JSON, or lacks a field or holds one of the wrong type or
-range, and the message names it; a session log's unparsable last line is
-a record torn by a crash and is dropped. A flag is bad when its value is
-out of range, or when play --resume is given a session flag or a foreign
---out: a resumed session keeps its checkpointed config, and only
---iterations applies. All outputs land under --out; every subcommand is
-deterministic for a fixed seed (the report's generated_at header is the
-single timestamp anywhere).
+--layout, a library's index, summaries and sidecars), or a library that
+changed since the session played it; 3 no feasible demo match; 4 a bad
+session artifact (a checkpoint, session_state.json, session_log.jsonl)
+or a failed write. A file is bad when it is missing, not JSON, or lacks
+a field or holds one of the wrong type or range, and the message names
+it; a session log's unparsable last line is a record torn by a crash and
+is dropped. A flag is bad when its value is out of range, or when play
+--resume is given a session flag or a foreign --out: a resumed session
+keeps its checkpointed config, and only --iterations applies. All
+outputs land under --out; every subcommand is deterministic for a fixed
+seed (the report's generated_at header is the single timestamp
+anywhere).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .play import (SessionConfig, export_success_dataset, read_session_log,
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
                   default_layout, generate_demo_library, layout_from_dict,
                   snapshot, spawn_world)
-from .tasks import builtin_tasks
+from .tasks import builtin_tasks, task_map
 from .warp import plan_to_dict, warp_trajectory
 
 
@@ -66,8 +67,9 @@ def cmd_warp(args) -> int:
         pixel_noise_sigma=args.sigma, outlier_rate=args.outlier_rate,
         seed=args.seed))
     library.register_with(oracle)
+    task = task_map(builtin_tasks()).get(args.task)   # a builtin task starts at its source
     world = spawn_world(layout, seed=args.world_seed,
-                        slots=_start_slots_for(args.task))
+                        slots={task.obj: task.source} if task else None)
     obs = snapshot(world)
     filters = FilterConfig(residual_max=args.residual_max, gap_max=args.gap_max)
 
@@ -95,13 +97,6 @@ def cmd_warp(args) -> int:
     print(f"selected {outcome.demo_id} (score {outcome.score:.4f}); "
           f"plan of {len(plan)} actions written to {out / 'warped_plan.json'}")
     return 0
-
-
-def _start_slots_for(task_id: str):
-    for task in builtin_tasks():
-        if task.id == task_id:
-            return {task.obj: task.source}
-    return None
 
 
 # play's session flags, each with the SessionConfig field it overrides (--config

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 import urllib.error
 import urllib.request
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Protocol, get_args, get_type_hints
 
@@ -113,8 +113,8 @@ class RemotePlanner:
     """Client for the documented HTTP planning protocol.
 
     POST {"kind": "plan", "symbolic_state": ..., "target_task": ...} and
-    expect {"plan": [task ids]}. Timeouts and transport errors surface as
-    NoPlan so the session records an intervention instead of crashing.
+    expect {"plan": [task ids]}. Any other reply, a timeout or a transport
+    error is NoPlan: the session records an intervention, not a crash.
     """
 
     def __init__(self, url, timeout=10.0):
@@ -128,17 +128,19 @@ class RemotePlanner:
             reply = _post_json(self.url, payload, self.timeout)
         except (urllib.error.URLError, TimeoutError, OSError, ValueError) as e:
             raise NoPlan(f"remote planner unavailable: {e}") from e
-        plan = reply.get("plan")
-        if not plan:
-            raise NoPlan(str(reply.get("reason", "remote planner returned no plan")))
-        return [str(t) for t in plan]
+        doc = reply if isinstance(reply, dict) else {}
+        plan = doc.get("plan")
+        if not (isinstance(plan, list) and plan and all(isinstance(t, str) for t in plan)):
+            raise NoPlan(str(doc.get("reason", f"remote planner returned no plan: {reply!r}")))
+        return plan
 
 
 class RemoteEvaluator:
     """Client for the documented HTTP evaluation protocol.
 
     POST {"kind": "evaluate", "pre": ..., "post": ..., "target_task": ...}
-    and expect {"success": bool, "reason": str}. Timeouts count as failure.
+    and expect {"success": bool, "reason": str}. Any other reply than
+    {"success": true, ...}, and a timeout, is a failure.
     """
 
     def __init__(self, url, timeout=10.0):
@@ -152,7 +154,7 @@ class RemoteEvaluator:
             reply = _post_json(self.url, payload, self.timeout)
         except (urllib.error.URLError, TimeoutError, OSError, ValueError):
             return False
-        return bool(reply.get("success", False))
+        return isinstance(reply, dict) and reply.get("success") is True
 
 
 def verify_by_correspondence(matcher: MatcherInterface, demo: DemoSummary,
@@ -255,15 +257,13 @@ class SessionConfig:
                 raise ConfigError(f"config key {key!r} has the wrong type")
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # the session
 
 LOG_FILE = "session_log.jsonl"
 STATE_FILE = "session_state.json"
+EPISODE_FILE = "episodes/ep_{:06d}.json"   # of an iteration, in an exported dataset
 
 
 def _write_atomic(path: Path, text: str):
@@ -278,10 +278,10 @@ def _write_atomic(path: Path, text: str):
 
 
 def _read_checkpoint(path) -> tuple:
-    """A checkpoint's (iteration, session config, world, RNG); OSError naming
-    the file when it is missing or not JSON, lacks a key `PlaySession.state_dict`
-    writes (nested and config keys too), or holds a value of the wrong type
-    or out of range."""
+    """A checkpoint's or final state's (iteration, session config, world, RNG,
+    library digest); OSError naming the file when it is missing or not JSON,
+    lacks a key `PlaySession.state_dict` writes (nested and config keys too),
+    or holds a value of the wrong type or out of range."""
     def parse(p):
         iteration = p.child("iteration").doc
         if type(iteration) is not int:
@@ -293,8 +293,28 @@ def _read_checkpoint(path) -> tuple:
         rng.bit_generator.state = p.child("rng_state").mapping()
         world = SimWorld.from_state_dict(cfg.world_layout, cfg.world_params,
                                          p.child("world").doc)
-        return iteration, cfg, world, rng
+        return iteration, cfg, world, rng, p.child("library_digest").string()
     return read_json(path, parse, error=OSError)
+
+
+def _logged_records(session_dir, iteration, source) -> tuple:
+    """The session log's path and its records 1..`iteration`; OSError naming
+    the log when it is missing or does not hold each of them."""
+    path = Path(session_dir) / LOG_FILE
+    kept = read_session_log(path)[:iteration]
+    if [r["iteration"] for r in kept] != list(range(1, iteration + 1)):
+        raise OSError(f"{path} does not hold iterations 1..{iteration} of {source}")
+    return path, kept
+
+
+@contextmanager
+def _record_of_library(path, record):
+    """A failed lookup of `record` in the library as an OSError naming the log."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise OSError(f"{path} iteration {record['iteration']} is not a record of "
+                      f"this library: {e!r}") from e
 
 
 class PlaySession:
@@ -302,19 +322,19 @@ class PlaySession:
 
     # -- construction ------------------------------------------------------
 
-    def __init__(self, cfg: SessionConfig):
-        """The session at iteration 0: library loaded and registered with the
-        oracle, world spawned from the seed, output directories made."""
+    def __init__(self, cfg: SessionConfig, library_digest=None):
+        """The session at iteration 0: library loaded (with `library_digest` when
+        given) and registered with the oracle, world spawned, directories made."""
         self.cfg = cfg
-        self.library = DemoLibrary.load(cfg.demo_library)
+        self.library = DemoLibrary.load(cfg.demo_library, library_digest)
         self.matcher = CorrespondenceOracle(cfg.oracle)
         self.library.register_with(self.matcher)
-        tasks = [t for t in builtin_tasks() if t.id in self.library.task_ids]
-        if sorted(t.id for t in tasks) != self.library.task_ids:
-            raise ConfigError("demo library contains tasks outside the library: "
-                              f"{self.library.task_ids}")
+        tasks = [t for t in builtin_tasks() if t.id in self.library.by_task]
+        outside = sorted(set(self.library.task_ids) - {t.id for t in tasks})
+        if outside:
+            raise ConfigError(f"demo library at {cfg.demo_library} has tasks that are "
+                              f"not built in: {outside}")
         self.tasks = task_map(tasks)
-        self.task_ids = sorted(self.tasks)
         self.planner: PlannerInterface = (
             RemotePlanner(cfg.planner_url, cfg.remote_timeout_s)
             if cfg.planner_url else RuleBasedPlanner(tasks))
@@ -327,10 +347,9 @@ class PlaySession:
         self.iteration = 0
         self.consecutive_failures = 0
         self.interventions = []
-        self.arms = {t: {d: ArmStats() for d in self.library.by_task[t]}
-                     for t in self.task_ids}
-        self.episodes = {t: [] for t in self.task_ids}
-        (self.out_dir / "dataset" / "episodes").mkdir(parents=True, exist_ok=True)
+        self.arms = {t: {d: ArmStats() for d in demos}
+                     for t, demos in self.library.by_task.items()}
+        self.success_counts = dict.fromkeys(self.library.task_ids, 0)
         (self.out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     @classmethod
@@ -340,37 +359,28 @@ class PlaySession:
         return session
 
     @classmethod
-    def resume(cls, checkpoint_path, out_dir=None) -> "PlaySession":
-        """The session at checkpoint N, with its statistics rebuilt from log
-        records 1..N and later records dropped. ConfigError when `out_dir` is
-        given and is not the session's directory; OSError naming the file when
-        the checkpoint is incomplete, or the log is missing, lacks one of
+    def resume(cls, checkpoint_path, out_dir=None, iterations=None) -> "PlaySession":
+        """The session at checkpoint N, to run to `iterations` when given, with
+        its statistics rebuilt from log records 1..N and later records dropped.
+        ConfigError, before any write, when `out_dir` is not the session's,
+        `iterations` is out of range, or the library changed; OSError naming
+        the file when the checkpoint is incomplete, or the log lacks one of
         records 1..N or names a task or demo outside the library."""
-        iteration, cfg, world, rng = _read_checkpoint(checkpoint_path)
+        iteration, cfg, world, rng, digest = _read_checkpoint(checkpoint_path)
         if out_dir is not None and Path(out_dir).resolve() != Path(cfg.out_dir).resolve():
             raise ConfigError(f"--out {out_dir} is not the checkpointed session's "
                               f"directory {cfg.out_dir}")
-        session = cls(cfg)
+        cfg = cfg if iterations is None else replace(cfg, iterations=iterations)
+        session = cls(cfg, digest)
         session.iteration, session.world, session.rng = iteration, world, rng
-        path = session.out_dir / LOG_FILE
-        kept = read_session_log(path)[:session.iteration]
-        if [r.get("iteration") for r in kept] != list(range(1, session.iteration + 1)):
-            raise OSError(f"{path} does not hold iterations 1..{session.iteration} "
-                          f"of {checkpoint_path}")
+        path, kept = _logged_records(session.out_dir, iteration, checkpoint_path)
         for record in kept:
-            try:
+            with _record_of_library(path, record):
                 session._account(record)
-            except (KeyError, TypeError, ValueError) as e:
-                raise OSError(f"{path} iteration {record['iteration']} is not a "
-                              f"record of this library: {e!r}") from e
         _write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in kept))
         return session
 
     # -- state -------------------------------------------------------------
-
-    @property
-    def success_counts(self) -> dict:
-        return {t: len(self.episodes[t]) for t in self.task_ids}
 
     def state_dict(self) -> dict:
         """What the log cannot give; `resume` rebuilds the statistics from it."""
@@ -378,7 +388,8 @@ class PlaySession:
             "iteration": self.iteration,
             "rng_state": self.rng.bit_generator.state,
             "world": self.world.state_dict(),
-            "config": self.cfg.to_dict(),
+            "config": asdict(self.cfg),
+            "library_digest": self.library.digest,
         }
 
     def save_checkpoint(self) -> Path:
@@ -468,7 +479,7 @@ class PlaySession:
         record["success"] = success
 
         if success:
-            record["episode_file"] = self._write_episode(record, plan)
+            record["episode_file"] = EPISODE_FILE.format(self.iteration)
         else:
             self._register_failure(record)
         self._append_log(record)
@@ -483,28 +494,15 @@ class PlaySession:
         record["intervention"] = reason
         randomize_world(self.world)
 
-    def _write_episode(self, record, plan) -> str:
-        fname = f"ep_{record['iteration']:06d}.json"
-        doc = {
-            "actions": plan.trajectory.actions.tolist(),
-            "control_rate_hz": plan.trajectory.control_rate,
-            "task_id": record["attempted_task"],
-            "iteration": record["iteration"],
-            "source_demo_id": plan.source_demo_id,
-        }
-        _write_atomic(self.out_dir / "dataset" / "episodes" / fname,
-                      json.dumps(doc, sort_keys=True))
-        return f"episodes/{fname}"
-
     def _append_log(self, record):
         with open(self.out_dir / LOG_FILE, "a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._account(record)
 
     def _account(self, record):
-        """Fold a finished log record into `arms`, `episodes`, `interventions`
-        and `consecutive_failures`, their only writer, live and on resume. A
-        success or an intervention ends a run of failures."""
+        """Fold a finished log record into `arms`, `success_counts`,
+        `interventions` and `consecutive_failures`, their only writer, live
+        and on resume. A success or an intervention ends a run of failures."""
         self.consecutive_failures = (0 if record["success"] or record["intervention"]
                                      else self.consecutive_failures + 1)
         task_id = record["attempted_task"]
@@ -512,9 +510,7 @@ class PlaySession:
             update_stats(self.arms[task_id], record["selected_demo"],
                          int(record["success"]))
         if record["success"]:
-            self.episodes[task_id].append({
-                "iteration": record["iteration"], "file": record["episode_file"],
-                "source_demo_id": record["selected_demo"]})
+            self.success_counts[task_id] += 1
         if record["intervention"]:
             self.interventions.append({"iteration": record["iteration"],
                                        "reason": record["intervention"]})
@@ -530,12 +526,7 @@ class PlaySession:
         return self
 
     def finalize(self):
-        """Write the manifest, final state, and report files."""
-        manifest = {"tasks": self.success_counts,
-                    "episodes": [dict(e, task_id=t) for t in self.task_ids
-                                 for e in self.episodes[t]]}
-        _write_atomic(self.out_dir / "dataset" / "manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2))
+        """Write the final state and the report files."""
         _write_atomic(self.out_dir / STATE_FILE,
                       json.dumps(self.state_dict(), sort_keys=True))
         records = read_session_log(self.out_dir / LOG_FILE)
@@ -575,8 +566,7 @@ def _match_summary(outcome) -> dict:
 def run_session(cfg: SessionConfig) -> PlaySession:
     """Fresh session: run all configured iterations and emit artifacts."""
     session = PlaySession.start(cfg)   # a bad library fails before anything is written
-    (session.out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), sort_keys=True,
-                                                            indent=2))
+    (session.out_dir / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2))
     session.run()
     session.save_checkpoint()
     return session.finalize()
@@ -584,9 +574,7 @@ def run_session(cfg: SessionConfig) -> PlaySession:
 
 def resume_session(checkpoint_path, iterations: int = None, out_dir=None) -> PlaySession:
     """Continue a checkpointed session to the configured iteration count."""
-    session = PlaySession.resume(checkpoint_path, out_dir)
-    if iterations is not None:
-        session.cfg.iterations = iterations
+    session = PlaySession.resume(checkpoint_path, out_dir, iterations)
     session.run()
     session.save_checkpoint()
     return session.finalize()
@@ -596,21 +584,29 @@ def resume_session(checkpoint_path, iterations: int = None, out_dir=None) -> Pla
 # dataset export
 
 def export_success_dataset(session_dir, out_dir) -> dict:
-    """Copy the episodes and the manifest of a finished session's dataset
-    into a standalone dataset directory."""
-    def parse(p):
-        for task in p.child("tasks").mapping():
-            p.child("tasks").child(task).integer()
-        for e in p.child("episodes").array():
-            e.child("file").string()
-        return p.doc
-
-    dataset_dir = Path(session_dir) / "dataset"
+    """Re-warp each success of a finished session into a dataset: one
+    `episodes/ep_NNNNNN.json` in the demo action schema plus its task id,
+    iteration and source demo id, then `manifest.json` last. N, the config
+    and the library digest come from the final state, the successes from log
+    records 1..N; failures are those of `resume`, before anything is written."""
+    state = Path(session_dir) / STATE_FILE
+    iteration, cfg, _, _, digest = _read_checkpoint(state)
+    library = DemoLibrary.load(cfg.demo_library, digest)
+    log, records = _logged_records(session_dir, iteration, state)
     out_dir = Path(out_dir)
-    manifest = read_json(dataset_dir / "manifest.json", parse, error=OSError)
     (out_dir / "episodes").mkdir(parents=True, exist_ok=True)
-    for e in manifest["episodes"]:
-        shutil.copyfile(dataset_dir / e["file"], out_dir / e["file"])
+    episodes = {t: [] for t in library.task_ids}
+    for r in (r for r in records if r["success"]):
+        entry = {"iteration": r["iteration"], "source_demo_id": r["selected_demo"]}
+        with _record_of_library(log, r):
+            plan = warp_trajectory(library.demos[r["selected_demo"]], r["target_waypoints"])
+            episodes[r["attempted_task"]].append(entry)
+        doc = dict(entry, task_id=r["attempted_task"], actions=plan.trajectory.actions.tolist(),
+                   control_rate_hz=plan.trajectory.control_rate)
+        (out_dir / EPISODE_FILE.format(r["iteration"])).write_text(json.dumps(doc, sort_keys=True))
+    manifest = {"tasks": {t: len(e) for t, e in episodes.items()},
+                "episodes": [dict(e, task_id=t, file=EPISODE_FILE.format(e["iteration"]))
+                             for t, es in episodes.items() for e in es]}
     _write_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2))
     return manifest
 

@@ -741,8 +741,10 @@ def generate_demo_library(layout: Layout, tasks, n: int = 10, seed: int = 0):
 class DemoLibrary:
     """Demo summaries, each with its oracle sidecar, loaded from a directory."""
 
-    def __init__(self, demos, sidecars, rig: StereoRig, files=None):
-        """`files` maps a demo id to its sidecar's file, for errors to name."""
+    def __init__(self, demos, sidecars, rig: StereoRig, files=None, digest=None):
+        """`files` maps a demo id to its sidecar's file, for errors to name;
+        `digest` is the sha256 of the files `load` read, None in memory."""
+        self.digest = digest
         self.demos = {d.id: d for d in demos}
         unpaired = sorted(set(self.demos) ^ set(sidecars))
         if unpaired:
@@ -778,10 +780,12 @@ class DemoLibrary:
                                     for demo_id, demo in self.demos.items()}
 
     @staticmethod
-    def load(directory) -> "DemoLibrary":
-        """The library in `directory`; ConfigError naming the file when the
-        index, a summary or a sidecar is missing, not JSON or malformed, or
-        a summary's id is not its index entry's."""
+    def load(directory, digest=None) -> "DemoLibrary":
+        """The library in `directory`; its `digest` is the sha256 of the bytes
+        of the index, then of each entry's summary and sidecar. ConfigError
+        naming the file when the index, a summary or a sidecar is missing, not
+        JSON or malformed, or a summary's id is not its entry's, and naming
+        `directory` when `digest` is given and differs."""
         directory = Path(directory)
         entries = read_json(directory / INDEX_FILE, lambda p: [
             (e.child("id").string(), directory / e.child("file").string(),
@@ -794,7 +798,12 @@ class DemoLibrary:
                 raise ConfigError(f"{summary}: id {demo.id!r} is not the index's {demo_id!r}")
         files = {demo_id: sidecar for demo_id, _, sidecar in entries}
         sidecars = {demo_id: read_json(path, _Probe.mapping) for demo_id, path in files.items()}
-        return DemoLibrary(demos, sidecars, demos[0].snapshot.rig, files)
+        sha = hashlib.sha256((directory / INDEX_FILE).read_bytes())
+        for _, summary, sidecar in entries:
+            sha.update(summary.read_bytes() + sidecar.read_bytes())
+        if digest not in (None, sha.hexdigest()):
+            raise ConfigError(f"demo library at {directory} changed since the session played it")
+        return DemoLibrary(demos, sidecars, demos[0].snapshot.rig, files, sha.hexdigest())
 
     def register_with(self, oracle: CorrespondenceOracle):
         for annotation in self.annotations:

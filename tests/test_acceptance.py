@@ -18,8 +18,9 @@ from keywarp.correspondence import FilterConfig, match_demo
 from keywarp.demo import Trajectory, _Probe, parse_action_rows, save_demo_library
 from keywarp.geometry import (Camera, CameraIntrinsics, intersect_rays,
                               ray_through_pixel)
-from keywarp.play import (SessionConfig, coverage_table, read_session_log,
-                          resume_session, rule_based_plan, run_session)
+from keywarp.play import (SessionConfig, coverage_table, export_success_dataset,
+                          read_session_log, resume_session, rule_based_plan,
+                          run_session)
 from keywarp.sim import DemoLibrary, default_layout, generate_demo_library
 from keywarp.tasks import BOWL, SHELF, TABLE, SymbolicState, builtin_tasks, task_map
 from keywarp.warp import warp_trajectory
@@ -27,6 +28,7 @@ from oracle_utils import (arc_length, brute_force_ray_midpoint, random_camera,
                           retime_segment, warp_segment)
 from test_bandit import simulate_bandit
 from test_correspondence import _PerturbLeftPrimary, _shifted_snapshot
+from test_play import _exported
 
 DOWN = np.array([0.0, 1.0, 0.0, 0.0])
 
@@ -326,25 +328,28 @@ def test_determinism_and_resume(acceptance_library, noiseless, tmp_path_factory)
     for doc in (state_a, state_c):
         doc["config"]["out_dir"] = ""
     resumed_state = state_a == state_c
-    resumed_manifest = ((noiseless_out / "dataset" / "manifest.json").read_bytes()
-                        == (half_out / "dataset" / "manifest.json").read_bytes())
+    export_a = _exported(noiseless_out, tmp_path_factory.mktemp("export-a"))
+    export_c = _exported(half_out, tmp_path_factory.mktemp("export-c"))
+    resumed_export = export_a == export_c and len(export_a) > 1
     criterion("determinism-and-resume",
-              same_seed and resumed_log and resumed_state and resumed_manifest,
+              same_seed and resumed_log and resumed_state and resumed_export,
               f"same-seed logs identical {same_seed}, resumed log identical "
               f"{resumed_log}, resumed final state identical {resumed_state}, "
-              f"resumed manifest identical {resumed_manifest}")
+              f"resumed export (manifest and {len(export_a) - 1} episodes) "
+              f"identical {resumed_export}")
 
 
-def test_dataset_export(noiseless):
+def test_dataset_export(noiseless, tmp_path_factory):
     session, records, _, out = noiseless
-    manifest = json.loads((out / "dataset" / "manifest.json").read_text())
-    counts_match = manifest["tasks"] == {t: len(e)
-                                         for t, e in session.episodes.items()}
+    exported = tmp_path_factory.mktemp("export")
+    manifest = export_success_dataset(out, exported)
+    counts_match = manifest["tasks"] == session.success_counts
     success_records = [r for r in records if r["success"]]
     counts_match &= sum(manifest["tasks"].values()) == len(success_records)
+    counts_match &= json.loads((exported / "manifest.json").read_text()) == manifest
     parsed = 0
     for entry in manifest["episodes"]:
-        doc = json.loads((out / "dataset" / entry["file"]).read_text())
+        doc = json.loads((exported / entry["file"]).read_text())
         actions = parse_action_rows(_Probe(doc["actions"], "actions"))
         Trajectory(actions, control_rate=doc["control_rate_hz"])
         parsed += 1

@@ -11,8 +11,10 @@ from scipy.spatial import ConvexHull, QhullError
 
 from conftest import drop_key, json_key_paths
 from keywarp.cli import main
-from keywarp.play import RECORD_KEYS, read_session_log, convex_hull_area
+from keywarp.play import RECORD_KEYS, convex_hull_area, export_success_dataset, read_session_log
+from keywarp.sim import DemoLibrary
 from keywarp.tasks import builtin_tasks
+from keywarp.warp import warp_trajectory
 
 
 def _files(directory, pattern):
@@ -98,8 +100,7 @@ def test_play_report_export_roundtrip(cli_library, tmp_path):
                  "--iterations", "20", "--seed", "2"])
     assert code == 0
     for artifact in ("session_log.jsonl", "session_state.json", "report.txt",
-                     "tasks.csv", "arms.csv", "coverage.csv",
-                     "dataset/manifest.json", "config.json"):
+                     "tasks.csv", "arms.csv", "coverage.csv", "config.json"):
         assert (out / artifact).exists(), artifact
     records = read_session_log(out / "session_log.jsonl")
     assert len(records) == 20
@@ -439,6 +440,84 @@ def _session_copy(cli_session, tmp_path, edit_checkpoint=lambda doc: None):
 def _tree_state(directory):
     return {p: (p.stat().st_mtime_ns, p.read_bytes())
             for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+def test_play_leaves_exactly_the_session_files(cli_session):
+    """Play writes no dataset: `export` derives it from the log and the library."""
+    assert sorted(p.name for p in cli_session.iterdir()) == sorted([
+        "config.json", "session_log.jsonl", "session_state.json", "checkpoints",
+        "report.txt", "tasks.csv", "arms.csv", "coverage.csv"])
+    assert _files(cli_session / "checkpoints", "*") == ["ckpt_000010.json"]
+
+
+def test_play_resume_with_negative_iterations_exits_2_and_keeps_the_checkpoint(
+        cli_session, tmp_path, capsys):
+    session, checkpoint = _session_copy(cli_session, tmp_path)
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--iterations", "-1",
+                 "--resume", str(checkpoint)]) == 2
+    assert "iterations" in capsys.readouterr().err
+    assert _tree_state(session) == before
+    assert main(["play", "--out", str(session), "--iterations", "12",
+                 "--resume", str(checkpoint)]) == 0
+    assert len(read_session_log(session / "session_log.jsonl")) == 12
+
+
+def test_play_library_with_a_task_not_built_in_exits_2_naming_it(cli_library, tmp_path,
+                                                                 capsys):
+    lib = tmp_path / "lib"
+    shutil.copytree(cli_library, lib)
+    summary = lib / json.loads((lib / "index.json").read_text())["demos"][0]["file"]
+    summary.write_text(json.dumps(dict(json.loads(summary.read_text()), task_id="juggle")))
+    assert main(["play", "--demos", str(lib), "--iterations", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(lib) in err and "['juggle']" in err
+    assert not any(t.id in err for t in builtin_tasks())
+    assert not (tmp_path / "o").exists()
+
+
+def test_regenerated_library_stops_resume_and_export(cli_library, tmp_path, capsys):
+    """Resume and export both depend on the library a session played; after
+    it is regenerated at the same path with another seed, both exit 2 naming
+    it, and neither writes anything."""
+    lib, session = tmp_path / "lib", tmp_path / "s"
+    shutil.copytree(cli_library, lib)
+    assert main(["play", "--demos", str(lib), "--out", str(session),
+                 "--iterations", "10"]) == 0
+    assert main(["gen-demos", "--out", str(lib), "--n", "4", "--seed", "1"]) == 0
+    capsys.readouterr()
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--iterations", "12", "--resume",
+                 str(session / "checkpoints" / "ckpt_000010.json")]) == 2
+    assert str(lib) in capsys.readouterr().err
+    assert main(["export", "--session", str(session), "--out", str(tmp_path / "d")]) == 2
+    assert str(lib) in capsys.readouterr().err
+    assert _tree_state(session) == before
+    assert not (tmp_path / "d").exists()
+
+
+def test_export_rewarps_the_logged_successes(cli_session, cli_library, tmp_path):
+    """Each exported episode is the warp of its logged success's demo onto
+    its logged target waypoints; the manifest lists them by task."""
+    manifest = export_success_dataset(cli_session, tmp_path / "d")
+    library = DemoLibrary.load(cli_library)
+    records = {r["iteration"]: r for r in read_session_log(cli_session / "session_log.jsonl")}
+    assert manifest["episodes"]
+    assert [e["iteration"] for e in manifest["episodes"]] == [
+        r["iteration"] for t in library.task_ids for r in records.values()
+        if r["success"] and r["attempted_task"] == t]
+    for entry in manifest["episodes"]:
+        record = records[entry["iteration"]]
+        plan = warp_trajectory(library.demos[record["selected_demo"]],
+                               record["target_waypoints"])
+        doc = json.loads((tmp_path / "d" / entry["file"]).read_text())
+        assert doc == {"actions": plan.trajectory.actions.tolist(),
+                       "control_rate_hz": plan.trajectory.control_rate,
+                       "task_id": entry["task_id"], "iteration": entry["iteration"],
+                       "source_demo_id": entry["source_demo_id"]}
+        assert (entry["file"], entry["task_id"]) == (record["episode_file"],
+                                                     record["attempted_task"])
 
 
 def test_play_resume_into_another_out_exits_2(cli_session, tmp_path, capsys):

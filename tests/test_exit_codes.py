@@ -1,6 +1,6 @@
 """The role of a damaged file decides the exit code: 2 for an input the user
 names (`--config`, `--layout`, a library's index, summaries and sidecars), 4
-for a session artifact (checkpoint, session log, dataset manifest). Each
+for a session artifact (checkpoint, session state, session log). Each
 file is damaged three ways (missing, not JSON, a required key deleted) and
 the message must name it."""
 
@@ -85,8 +85,8 @@ def _report(w, lib, s):
 
 def _export(w, lib, s):
     copy, _ = _session_copy(w, s)
-    return (copy / "dataset" / "manifest.json",
-            ["export", "--session", str(copy), "--out", str(w / "o")], ["episodes"])
+    return (copy / "session_state.json",
+            ["export", "--session", str(copy), "--out", str(w / "o")], ["library_digest"])
 
 
 FILES = {
@@ -98,7 +98,7 @@ FILES = {
     "checkpoint": (_resume("checkpoint", ["world"]), ARTIFACT),
     "log-resume": (_resume("session_log.jsonl", [0, "success"]), ARTIFACT),
     "log-report": (_report, ARTIFACT),
-    "manifest": (_export, ARTIFACT),
+    "state": (_export, ARTIFACT),
 }
 
 

@@ -43,8 +43,22 @@ def test_successful_iteration_updates_exactly_one_arm(library_dir, tmp_path):
     assert pulled == [(task, record["selected_demo"])]
     arm = session.arms[task][record["selected_demo"]]
     assert (arm.pulls, arm.successes) == (1, 1)
-    assert record["episode_file"] is not None
-    assert (session.out_dir / "dataset" / record["episode_file"]).exists()
+    assert record["episode_file"] == "episodes/ep_000001.json"
+
+
+def test_iteration_writes_only_its_log_line(library_dir, tmp_path):
+    """Play writes no dataset: an iteration, a success too, appends its log
+    record and writes nothing else; `export` derives the episodes."""
+    cfg = session_config(library_dir, tmp_path / "s", iterations=1)
+    session = PlaySession.start(cfg)
+    before = {p: p.read_bytes() for p in sorted(session.out_dir.rglob("*")) if p.is_file()}
+    record = session.run_iteration()
+    assert record["success"]
+    after = {p: p.read_bytes() for p in sorted(session.out_dir.rglob("*")) if p.is_file()}
+    log = session.out_dir / "session_log.jsonl"
+    assert after.pop(log) == before.pop(log) + (json.dumps(record, sort_keys=True) + "\n").encode()
+    assert after == before
+    assert sorted(p.name for p in session.out_dir.iterdir()) == ["checkpoints", "session_log.jsonl"]
 
 
 def test_all_infeasible_leaves_bandit_untouched(library_dir, tmp_path):
@@ -194,15 +208,17 @@ def test_checkpoint_resume_matches_uninterrupted(library_dir, tmp_path):
                                checkpoint_every=20, pixel_noise_sigma=1.0))
     resumed = resume_session(tmp_path / "half" / "checkpoints" /
                              "ckpt_000020.json", iterations=60)
-    for artifact in ("session_log.jsonl", "dataset/manifest.json", "arms.csv"):
+    for artifact in ("session_log.jsonl", "arms.csv"):
         assert (tmp_path / "full" / artifact).read_bytes() == \
             (tmp_path / "half" / artifact).read_bytes(), artifact
+    assert _exported(tmp_path / "full", tmp_path / "export-full") == \
+        _exported(tmp_path / "half", tmp_path / "export-half")
     sf = json.loads((tmp_path / "full" / "session_state.json").read_text())
     sr = json.loads((tmp_path / "half" / "session_state.json").read_text())
     for doc in (sf, sr):
         doc["config"]["out_dir"] = ""
     assert sf == sr
-    for stat in ("arms", "episodes", "interventions", "success_counts"):
+    for stat in ("arms", "interventions", "success_counts"):
         assert getattr(full, stat) == getattr(resumed, stat), stat
     assert any(a.pulls for arms in resumed.arms.values() for a in arms.values())
 
@@ -214,14 +230,14 @@ def test_checkpoint_size_is_fixed(library_dir, tmp_path):
                                checkpoint_every=20, pixel_noise_sigma=1.0))
     ckpts = tmp_path / "s" / "checkpoints"
     doc = json.loads((ckpts / "ckpt_000060.json").read_text())
-    assert set(doc) == {"iteration", "rng_state", "world", "config"}
+    assert set(doc) == {"iteration", "rng_state", "world", "config", "library_digest"}
     sizes = [(ckpts / f"ckpt_{i:06d}.json").stat().st_size for i in (20, 60)]
     assert abs(sizes[1] - sizes[0]) < 300, sizes
 
 
 def test_failed_write_leaves_the_previous_file_whole(library_dir, tmp_path, monkeypatch):
     """A write that fails before it completes (here a full disk) leaves the
-    previous checkpoint and manifest byte-identical and no partial file."""
+    previous checkpoint and final state byte-identical and no partial file."""
     session = run_session(session_config(library_dir, tmp_path / "s", iterations=10,
                                          checkpoint_every=10))
     before = {p: p.read_bytes() for p in sorted((tmp_path / "s").rglob("*")) if p.is_file()}
@@ -283,22 +299,30 @@ def test_empty_session_produces_valid_artifacts(library_dir, tmp_path):
     assert session.iteration == 0
     out = tmp_path / "s"
     assert (out / "session_log.jsonl").read_text() == ""
-    manifest = json.loads((out / "dataset" / "manifest.json").read_text())
-    assert all(v == 0 for v in manifest["tasks"].values())
+    manifest = export_success_dataset(out, tmp_path / "export")
+    assert manifest["episodes"] == [] and all(v == 0 for v in manifest["tasks"].values())
     report = (out / "report.txt").read_text()
     assert "iterations: 0" in report
     assert (out / "tasks.csv").read_text() == \
         "task,attempts,successes,success_rate\n"
 
 
+def _exported(session_dir, out_dir) -> dict:
+    """The bytes of every file `export_success_dataset` writes, by relative path."""
+    export_success_dataset(session_dir, out_dir)
+    return {p.relative_to(out_dir): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
 def test_dataset_export_counts_and_schema(library_dir, tmp_path):
     session = run_session(session_config(library_dir, tmp_path / "s",
                                          iterations=25))
-    manifest = json.loads(
-        (tmp_path / "s" / "dataset" / "manifest.json").read_text())
-    assert manifest["tasks"] == {t: len(e) for t, e in session.episodes.items()}
     exported = export_success_dataset(tmp_path / "s", tmp_path / "out")
-    assert exported["tasks"] == manifest["tasks"]
+    assert exported["tasks"] == session.success_counts
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text()) == exported
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert sorted(e["iteration"] for e in exported["episodes"]) == \
+        [r["iteration"] for r in records if r["success"]]
     # every episode reparses through the demo action-schema parser
     for entry in exported["episodes"]:
         doc = json.loads((tmp_path / "out" / entry["file"]).read_text())
@@ -337,10 +361,13 @@ def test_session_config_from_dict_checks_field_types(doc, ok):
 
 class _ProtocolHandler(BaseHTTPRequestHandler):
     delay = 0.0
+    canned = None   # the JSON text of a fixed reply, or None for the rule-based one
 
     def do_POST(self):
         time.sleep(self.delay)
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.canned is not None:
+            return self._send(self.canned.encode())
         tasks = builtin_tasks()
         if payload["kind"] == "plan":
             state = SymbolicState.from_dict(payload["symbolic_state"])
@@ -357,7 +384,9 @@ class _ProtocolHandler(BaseHTTPRequestHandler):
             reply = {"success": ok, "reason": "rule check"}
         else:
             reply = {"error": "unknown kind"}
-        body = json.dumps(reply).encode()
+        self._send(json.dumps(reply).encode())
+
+    def _send(self, body):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -373,7 +402,7 @@ def protocol_server():
     server = HTTPServer(("127.0.0.1", 0), _ProtocolHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _ProtocolHandler.delay = 0.0
+    _ProtocolHandler.delay, _ProtocolHandler.canned = 0.0, None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -429,3 +458,51 @@ def test_session_with_remote_components(protocol_server, library_dir, tmp_path):
     records = read_session_log(tmp_path / "s" / "session_log.jsonl")
     assert len(records) == 5
     assert sum(r["success"] for r in records) >= 4
+
+
+TASK = next(t for t in builtin_tasks() if t.id == "pineapple_table_to_shelf")
+PRE = SymbolicState.make({"pineapple": "table", "bowl": "table"},
+                         {"pineapple": True, "bowl": True})
+POST = SymbolicState.make({"pineapple": "shelf", "bowl": "table"},
+                          {"pineapple": True, "bowl": True})
+
+
+@pytest.mark.parametrize("reply, success", [
+    ({"success": True}, True), ({"success": True, "reason": "ok"}, True),
+    ({"success": False}, False), ({"success": "no"}, False), ({"success": 1}, False),
+    ({"success": [0]}, False), ({"success": None}, False), ({}, False),
+    ([], False), ([{"success": True}], False), (True, False), ("yes", False),
+    (None, False),
+], ids=repr)
+def test_remote_evaluator_counts_only_a_true_success(protocol_server, reply, success):
+    """Only a JSON object whose "success" is true is a success; any other
+    reply is a failure, never a crash."""
+    _ProtocolHandler.canned = json.dumps(reply)
+    assert RemoteEvaluator(protocol_server, timeout=5.0).evaluate(
+        None, PRE, None, POST, TASK) is success
+
+
+@pytest.mark.parametrize("reply", [
+    {"plan": 5}, {"plan": True}, {"plan": "pineapple_table_to_shelf"}, {"plan": []},
+    {"plan": None}, {"plan": [1]}, {"plan": ["pineapple_table_to_shelf", None]},
+    {"plan": {"0": "pineapple_table_to_shelf"}}, {}, [], ["pineapple_table_to_shelf"],
+    "pineapple_table_to_shelf", 5, None,
+], ids=repr)
+def test_remote_planner_refuses_a_reply_without_a_plan(protocol_server, reply):
+    """A plan is a non-empty list of strings in a JSON object; any other
+    reply is NoPlan, never a crash or a plan of single characters."""
+    _ProtocolHandler.canned = json.dumps(reply)
+    with pytest.raises(NoPlan):
+        RemotePlanner(protocol_server, timeout=5.0).plan(PRE, TASK.id)
+
+
+def test_session_counts_a_malformed_remote_verdict_as_a_failure(protocol_server,
+                                                                library_dir, tmp_path):
+    """An evaluator replying {"success": "no"} fails every iteration: no arm
+    records a success and no task is counted as reached."""
+    _ProtocolHandler.canned = json.dumps({"success": "no"})
+    session = run_session(session_config(library_dir, tmp_path / "s", iterations=5,
+                                         evaluator_url=protocol_server))
+    assert sum(session.success_counts.values()) == 0
+    assert all(a.successes == 0 for arms in session.arms.values() for a in arms.values())
+    assert any(a.pulls for arms in session.arms.values() for a in arms.values())

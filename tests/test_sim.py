@@ -432,6 +432,29 @@ def test_every_library_key_is_read(tmp_path, layout):
     assert unread == []
 
 
+def test_library_digest_covers_every_file_it_reads(tmp_path, layout):
+    """The digest is that of the library's bytes, wherever it lies: a copy
+    has the same one, and a change to the index, a summary or a sidecar
+    (here one trailing space, which leaves the JSON the same) changes it.
+    Loading with another digest is a ConfigError naming the directory."""
+    demos, sidecars = generate_seed_demos(layout, builtin_tasks()[0], n=2, seed=0)
+    save_demo_library(tmp_path / "a", demos, sidecars)
+    save_demo_library(tmp_path / "b", demos, sidecars)
+    digest = DemoLibrary.load(tmp_path / "a").digest
+    assert len(digest) == 64 and DemoLibrary.load(tmp_path / "b").digest == digest
+    assert DemoLibrary.load(tmp_path / "a", digest).digest == digest
+    entry = json.loads((tmp_path / "a" / "index.json").read_text())["demos"][1]
+    seen = {digest}
+    for name in ("index.json", entry["file"], entry["sidecar"]):
+        path = tmp_path / "a" / name
+        path.write_text(path.read_text() + " ")
+        seen.add(DemoLibrary.load(tmp_path / "a").digest)
+    assert len(seen) == 4
+    with pytest.raises(ConfigError) as e:
+        DemoLibrary.load(tmp_path / "a", digest)
+    assert str(tmp_path / "a") in str(e.value)
+
+
 def test_unstageable_demo_task_raises(layout):
     from keywarp.sim import PreconditionUnsatisfiable
     from keywarp.tasks import TaskSpec
