@@ -18,7 +18,7 @@ task = builtin_tasks()[0]                       # pineapple: table -> shelf
 
 demos, sidecars = generate_seed_demos(layout, task, n=5, seed=0)
 oracle = CorrespondenceOracle(OracleConfig(pixel_noise_sigma=0.5, seed=0))
-library = DemoLibrary(demos, sidecars, layout.rig)
+library = DemoLibrary(demos, sidecars)
 library.register_with(oracle)
 
 world = spawn_world(layout, seed=42, slots={task.obj: task.source})

@@ -3,8 +3,10 @@
 A demonstration is summarized once into (initial scene snapshot, 3-D
 waypoints at gripper-toggle frames, their pixel keypoints in both camera
 views, full action sequence); afterwards the raw recording can be thrown
-away. Summaries serialize to a stable JSON schema, one file per demo; with
-one oracle sidecar per demo and an index they form a demo library.
+away. A summary's JSON file holds only what was recorded (ids, rig,
+snapshot, actions); its waypoints and keypoints are derived again at load.
+With one oracle sidecar per demo and an index, summaries form a demo
+library.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ class SceneSnapshot:
 
 @dataclass(frozen=True, eq=False)
 class DemoSummary:
+    """A demo as recorded (id, task, initial snapshot, actions) and what
+    `summarize_demo`, its one producer, derives from that: the waypoints at
+    the gripper-toggle frames and their keypoints in both views. Equality
+    compares only what was recorded."""
+
     id: str
     task_id: str
     snapshot: SceneSnapshot
@@ -154,42 +161,12 @@ class DemoSummary:
     keypoints: dict                # view -> (T, 2) pixel array
     actions: Trajectory
 
-    def __post_init__(self):
-        idx = np.array(self.waypoint_indices, dtype=int)
-        w = np.array(self.waypoints, dtype=float)
-        if idx.ndim != 1 or len(idx) < 1:
-            raise ValueError("need at least one waypoint")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("waypoint indices must be strictly increasing")
-        if w.shape != (len(idx), 3):
-            raise ValueError("waypoints must be (T, 3)")
-        kp = {}
-        for view in ("left", "right"):
-            if view not in self.keypoints:
-                raise ValueError(f"missing keypoints for view {view!r}")
-            k = np.array(self.keypoints[view], dtype=float)
-            if k.shape != (len(idx), 2):
-                raise ValueError(f"keypoints[{view!r}] must be (T, 2)")
-            k.flags.writeable = False
-            kp[view] = k
-        if not np.array_equal(w, self.actions.positions[idx]):
-            raise ValueError("waypoints must equal the positions at their frames")
-        idx.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "waypoint_indices", idx)
-        object.__setattr__(self, "waypoints", w)
-        object.__setattr__(self, "keypoints", kp)
-
     def __eq__(self, other):
         if not isinstance(other, DemoSummary):
             return NotImplemented
         return (self.id == other.id and self.task_id == other.task_id
                 and self.snapshot.rig == other.snapshot.rig
                 and self.snapshot.state_id == other.snapshot.state_id
-                and np.array_equal(self.waypoint_indices, other.waypoint_indices)
-                and np.array_equal(self.waypoints, other.waypoints)
-                and all(np.array_equal(self.keypoints[v], other.keypoints[v])
-                        for v in ("left", "right"))
                 and self.actions == other.actions)
 
     @property
@@ -214,10 +191,10 @@ def summarize_demo(traj: Trajectory, snapshot: SceneSnapshot, task_id: str,
                    demo_id: str) -> DemoSummary:
     """Build the compact demo record: waypoints plus their two-view keypoints."""
     idx, w = extract_waypoints(traj)
-    keypoints = {}
-    for view in ("left", "right"):
-        cam = snapshot.rig.camera(view)
-        keypoints[view] = np.array([project(cam, p) for p in w])
+    keypoints = {view: np.array([project(snapshot.rig.camera(view), p) for p in w])
+                 for view in ("left", "right")}
+    for a in (idx, w, *keypoints.values()):
+        a.flags.writeable = False
     return DemoSummary(id=demo_id, task_id=task_id, snapshot=snapshot,
                        waypoint_indices=idx, waypoints=w,
                        keypoints=keypoints, actions=traj)
@@ -252,9 +229,6 @@ def summary_to_dict(s: DemoSummary) -> dict:
         "control_rate_hz": s.actions.control_rate,
         "rig": rig_to_dict(s.snapshot.rig),
         "snapshot": snapshot_content_to_dict(s.snapshot.content),
-        "waypoint_indices": s.waypoint_indices.tolist(),
-        "waypoints": s.waypoints.tolist(),
-        "keypoints": {v: s.keypoints[v].tolist() for v in ("left", "right")},
         "actions": s.actions.actions.tolist(),
     }
 
@@ -375,28 +349,18 @@ def decode_summary(data: bytes) -> DemoSummary:
 
 
 def summary_from_probe(root: _Probe) -> DemoSummary:
-    rig = rig_from_probe(root.child("rig"))
-    content = snapshot_content_from_probe(root.child("snapshot"))
+    """The summary a probe's document records; its waypoints and keypoints
+    are derived, and copies an earlier format stored are ignored."""
+    demo_id, task_id = root.child("id").string(), root.child("task_id").string()
+    snapshot = SceneSnapshot(rig=rig_from_probe(root.child("rig")),
+                             content=snapshot_content_from_probe(root.child("snapshot")))
+    control_rate = root.child("control_rate_hz").number()
     actions_probe = root.child("actions")
+    rows = parse_action_rows(actions_probe)
     try:
-        traj = Trajectory(parse_action_rows(actions_probe),
-                          control_rate=root.child("control_rate_hz").number())
-    except ValueError as e:
+        return summarize_demo(Trajectory(rows, control_rate), snapshot, task_id, demo_id)
+    except ValueError as e:   # a bad trajectory, no toggle, or a waypoint behind a camera
         actions_probe.fail(str(e))
-    indices = [p.integer() for p in root.child("waypoint_indices").array()]
-    waypoints = [p.vector(3) for p in root.child("waypoints").array()]
-    keypoints = {v: np.array([p.vector(2)
-                              for p in root.child("keypoints").child(v).array()])
-                 for v in ("left", "right")}
-    try:
-        return DemoSummary(id=root.child("id").string(),
-                           task_id=root.child("task_id").string(),
-                           snapshot=SceneSnapshot(rig=rig, content=content),
-                           waypoint_indices=np.array(indices, dtype=int),
-                           waypoints=np.array(waypoints),
-                           keypoints=keypoints, actions=traj)
-    except ValueError as e:
-        root.fail(str(e))
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,7 @@ def _read_checkpoint(path) -> tuple:
     lacks a key `PlaySession.state_dict` writes (nested and config keys too),
     or holds a value of the wrong type or out of range."""
     def parse(p):
-        iteration = p.child("iteration").doc
-        if type(iteration) is not int:
-            p.fail("'iteration' is not an integer")
+        iteration = p.child("iteration").integer()
         for f in fields(SessionConfig):   # from_dict would default a missing key
             p.child("config").child(f.name)
         cfg = SessionConfig.from_dict(p.child("config").doc)

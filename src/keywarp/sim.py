@@ -360,10 +360,6 @@ class ExecutionTrace:
     events: list = field(default_factory=list)
     out_of_bounds: int = 0
 
-    @property
-    def grasped(self) -> bool:
-        return any(e["kind"] == "grasp" for e in self.events)
-
 
 def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
     """Teleport the gripper along the plan, mutating the world.
@@ -739,9 +735,11 @@ def generate_demo_library(layout: Layout, tasks, n: int = 10, seed: int = 0):
 
 
 class DemoLibrary:
-    """Demo summaries, each with its oracle sidecar, loaded from a directory."""
+    """Demo summaries, each with its oracle sidecar, loaded from a directory.
+    Each demo's final snapshot is its sidecar's final scene seen by that
+    demo's own rig."""
 
-    def __init__(self, demos, sidecars, rig: StereoRig, files=None, digest=None):
+    def __init__(self, demos, sidecars, files=None, digest=None):
         """`files` maps a demo id to its sidecar's file, for errors to name;
         `digest` is the sha256 of the files `load` read, None in memory."""
         self.digest = digest
@@ -766,7 +764,8 @@ class DemoLibrary:
                 initial.child("anchors").fail(f"expected one anchor per waypoint "
                                               f"({demo.num_waypoints}), got {len(anchors)}")
             self.final_snapshots[demo_id] = SceneSnapshot(
-                rig=rig, content=snapshot_content_from_probe(final.child("scene")))
+                rig=demo.snapshot.rig,
+                content=snapshot_content_from_probe(final.child("scene")))
             marks = [(demo.snapshot, t, a) for t, a in enumerate(anchors)]
             for snap, t, a in marks + [(self.final_snapshots[demo_id], -1, final)]:
                 anchor, offset = a.child("anchor").string(), a.child("offset").vector(3)
@@ -803,7 +802,7 @@ class DemoLibrary:
             sha.update(summary.read_bytes() + sidecar.read_bytes())
         if digest not in (None, sha.hexdigest()):
             raise ConfigError(f"demo library at {directory} changed since the session played it")
-        return DemoLibrary(demos, sidecars, demos[0].snapshot.rig, files, sha.hexdigest())
+        return DemoLibrary(demos, sidecars, files, sha.hexdigest())
 
     def register_with(self, oracle: CorrespondenceOracle):
         for annotation in self.annotations:

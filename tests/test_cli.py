@@ -275,10 +275,21 @@ def _index_id_differs_from_summary(lib):
     return f"{lib / entry['file']}: id {demo_id!r} is not the index's 'renamed'"
 
 
+def _summary_whose_gripper_never_toggles(lib):
+    entry = json.loads((lib / "index.json").read_text())["demos"][0]
+    summary = json.loads((lib / entry["file"]).read_text())
+    for row in summary["actions"]:
+        row[7] = 0.0
+    (lib / entry["file"]).write_text(json.dumps(summary))
+    return f"{lib / entry['file']}.actions: gripper command never toggles"
+
+
 @pytest.mark.parametrize("break_library", [_index_not_json, _sidecar_without_final,
-                                           _index_id_differs_from_summary],
+                                           _index_id_differs_from_summary,
+                                           _summary_whose_gripper_never_toggles],
                          ids=["index-not-json", "sidecar-without-final",
-                              "index-id-differs-from-summary"])
+                              "index-id-differs-from-summary",
+                              "summary-whose-gripper-never-toggles"])
 @pytest.mark.parametrize("command", [["play", "--iterations", "1"],
                                      ["warp", "--task", "pineapple_table_to_shelf"]],
                          ids=["play", "warp"])
@@ -370,11 +381,16 @@ def test_library_file_missing_field_exits_2_naming_its_path(cli_library, tmp_pat
 
 def _put_back_dropped_copies(lib, state_id):
     """Rewrite a library in the format that stored copies: the index's task
-    list and entry task ids, and each sidecar's demo id, task id and block
-    state ids, here all set to `state_id`."""
+    list and entry task ids, each sidecar's demo id, task id and block
+    state ids, here all set to `state_id`, and each summary's waypoint
+    frames, waypoints and keypoints, here all wrong."""
     index = json.loads((lib / "index.json").read_text())
     for entry in index["demos"]:
-        task_id = json.loads((lib / entry["file"]).read_text())["task_id"]
+        summary = json.loads((lib / entry["file"]).read_text())
+        summary.update(waypoint_indices=[0], waypoints=[[0.0, 0.0, 0.0]],
+                       keypoints={"left": [[0.0, 0.0]], "right": [[0.0, 0.0]]})
+        (lib / entry["file"]).write_text(json.dumps(summary, sort_keys=True, indent=2))
+        task_id = summary["task_id"]
         entry["task_id"] = task_id
         side = json.loads((lib / entry["sidecar"]).read_text())
         side.update(demo_id=entry["id"], task_id=task_id)
@@ -635,7 +651,7 @@ def test_play_resume_checkpoint_with_a_non_integer_counter_exits_4(cli_session, 
     assert main(["play", "--out", str(session), "--iterations", "12",
                  "--resume", str(checkpoint)]) == 4
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and repr(key) in err
+    assert f"{checkpoint}.{key}: expected integer" in err
     assert _tree_state(session) == before
 
 

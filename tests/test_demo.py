@@ -9,7 +9,7 @@ from keywarp.demo import (ConfigError, NoWaypoints, SceneSnapshot,
                           decode_summary, encode_summary, extract_waypoints,
                           save_demo_library, summarize_demo,
                           trajectory_from_parts)
-from keywarp.geometry import NonPositiveDepth, project
+from keywarp.geometry import NonPositiveDepth, StereoRig, project
 from keywarp.sim import DemoLibrary, generate_seed_demos
 from keywarp.tasks import builtin_tasks
 
@@ -136,11 +136,15 @@ def test_schema_error_on_bad_rig(library):
 
 
 def test_golden_file_decodes_and_reencodes():
-    """Golden file generated once and audited against the documented schema."""
+    """Golden file generated once, in the earlier format that also stored the
+    waypoint frames, waypoints and keypoints, and audited against the
+    documented schema. Those derived at load equal the stored ones bit for
+    bit, and re-encoding gives the file without them."""
     payload = GOLDEN.read_bytes()
     doc = json.loads(payload)
+    derived = {"waypoint_indices", "waypoints", "keypoints"}
     assert set(doc) == {"id", "task_id", "control_rate_hz", "rig", "snapshot",
-                        "waypoint_indices", "waypoints", "keypoints", "actions"}
+                        "actions"} | derived
     assert set(doc["rig"]) == {"left", "right"}
     assert set(doc["keypoints"]) == {"left", "right"}
     assert doc["snapshot"]["variant"] == "semantic"
@@ -148,7 +152,11 @@ def test_golden_file_decodes_and_reencodes():
     summary = decode_summary(payload)
     assert summary.num_waypoints == len(doc["waypoint_indices"]) == 2
     assert len(summary.actions) == len(doc["actions"]) == 120
-    assert encode_summary(summary) == payload
+    assert summary.waypoint_indices.tolist() == doc["waypoint_indices"]
+    assert summary.waypoints.tolist() == doc["waypoints"]
+    assert {v: summary.keypoints[v].tolist() for v in ("left", "right")} == doc["keypoints"]
+    recorded = {k: v for k, v in doc.items() if k not in derived}
+    assert encode_summary(summary) == json.dumps(recorded, sort_keys=True, indent=2).encode()
 
 
 def test_library_save_load_roundtrip(tmp_path, library):
@@ -160,14 +168,29 @@ def test_library_save_load_roundtrip(tmp_path, library):
     assert loaded.sidecars == {d.id: library.sidecars[d.id] for d in demos}
 
 
-def test_library_needs_one_sidecar_per_demo(library, layout):
+def test_library_needs_one_sidecar_per_demo(library):
     demos = sorted(library.demos.values(), key=lambda d: d.id)[:2]
     sidecars = {d.id: library.sidecars[d.id] for d in demos}
     lone = sidecars.pop(demos[0].id)
     with pytest.raises(ConfigError, match=demos[0].id):
-        DemoLibrary(demos, sidecars, layout.rig)
+        DemoLibrary(demos, sidecars)
     with pytest.raises(ConfigError, match="extra"):
-        DemoLibrary(demos[1:], dict(sidecars, extra=lone), layout.rig)
+        DemoLibrary(demos[1:], dict(sidecars, extra=lone))
+
+
+def test_each_final_snapshot_has_its_own_demos_rig(library):
+    """Two demos seen by different rigs (here the second's cameras swapped)
+    each get a final snapshot with their own rig."""
+    first, second = sorted(library.demos.values(), key=lambda d: d.id)[:2]
+    rig = second.snapshot.rig
+    swapped = SceneSnapshot(rig=StereoRig(left=rig.right, right=rig.left),
+                            content=second.snapshot.content)
+    second = summarize_demo(second.actions, swapped, second.task_id, second.id)
+    mixed = DemoLibrary([first, second], {d.id: library.sidecars[d.id]
+                                          for d in (first, second)})
+    assert first.snapshot.rig != second.snapshot.rig
+    for demo in (first, second):
+        assert mixed.final_snapshots[demo.id].rig == demo.snapshot.rig
 
 
 def test_trajectory_validation():

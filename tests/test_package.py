@@ -31,19 +31,26 @@ def _used_names(path) -> set:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _public(body) -> list:
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def test_every_public_definition_has_a_caller():
-    """A public top-level function or class of `src/keywarp` is read by the
-    package itself (its `__init__` re-exports do not count), by an example
-    in docs/examples, or is named in README.md."""
+    """A public top-level function or class of `src/keywarp`, and a public
+    method or property of such a class, is read by the package itself (its
+    `__init__` re-exports do not count), by an example in docs/examples, or
+    is named in README.md."""
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     used = set().union(*map(_used_names, modules),
                        *map(_used_names, (ROOT / "docs" / "examples").glob("*.py")))
     readme = (ROOT / "README.md").read_text()
-    uncalled = [f"{path.stem}.{node.name}"
-                for path in modules
-                for node in ast.parse(path.read_text()).body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and node.name not in used
-                and not re.search(rf"\b{node.name}\b", readme)]
+    definitions = []
+    for path in modules:
+        for node in _public(ast.parse(path.read_text()).body):
+            members = _public(node.body) if isinstance(node, ast.ClassDef) else []
+            definitions += [(f"{path.stem}.{node.name}", node.name)]
+            definitions += [(f"{path.stem}.{node.name}.{m.name}", m.name) for m in members]
+    uncalled = [qualified for qualified, name in definitions
+                if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert uncalled == []
