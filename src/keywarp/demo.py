@@ -4,7 +4,8 @@ A demonstration is summarized once into (initial scene snapshot, 3-D
 waypoints at gripper-toggle frames, their pixel keypoints in both camera
 views, full action sequence); afterwards the raw recording can be thrown
 away. A summary's JSON file holds only what was recorded (ids, rig,
-snapshot, actions); its waypoints and keypoints are derived again at load.
+snapshot, actions); its waypoints, its keypoints and its snapshot's state
+id are derived again at load.
 With one oracle sidecar per demo and an index, summaries form a demo
 library.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -102,45 +103,37 @@ class ObjectState:
 
 
 def semantic_state_id(objects, anchors) -> str:
+    """Hash of a scene's content, each coordinate written from `float(x)` as
+    numpy 2 prints it (`np.float64(<repr>)` for objects, the bare repr for
+    anchors), so the id depends on neither the scalar type nor numpy."""
     parts = []
     for name in sorted(objects):
         o = objects[name]
-        parts.append(f"{name}:{o.position[0]!r},{o.position[1]!r},{o.position[2]!r},{int(o.upright)}")
+        x, y, z = (f"np.float64({float(c)!r})" for c in o.position)
+        parts.append(f"{name}:{x},{y},{z},{int(o.upright)}")
     for name in sorted(anchors):
-        p = anchors[name]
-        parts.append(f"@{name}:{p[0]!r},{p[1]!r},{p[2]!r}")
+        x, y, z = map(float, anchors[name])
+        parts.append(f"@{name}:{x!r},{y!r},{z!r}")
     return hashlib.blake2b("|".join(parts).encode(), digest_size=12).hexdigest()
 
 
 @dataclass(frozen=True)
-class SemanticScene:
-    """Simulator-side snapshot content: object poses plus static anchor points.
+class SceneSnapshot:
+    """A scene as the simulator knows it, seen by one stereo rig: object
+    poses plus static anchor points. state_id is derived from the objects
+    and anchors alone, so snapshots of identical scenes match equal."""
 
-    state_id is derived from the content, so snapshots of identical scenes
-    compare (and match) equal.
-    """
-
+    rig: StereoRig
     objects: dict            # id -> ObjectState
     anchors: dict            # name -> (x, y, z) static reference point
-    state_id: str = ""
+    state_id: str = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", dict(self.objects))
         object.__setattr__(self, "anchors",
                            {k: tuple(float(c) for c in v) for k, v in self.anchors.items()})
-        if not self.state_id:
-            object.__setattr__(self, "state_id",
-                               semantic_state_id(self.objects, self.anchors))
-
-
-@dataclass(frozen=True)
-class SceneSnapshot:
-    rig: StereoRig
-    content: SemanticScene
-
-    @property
-    def state_id(self) -> str:
-        return self.content.state_id
+        object.__setattr__(self, "state_id",
+                           semantic_state_id(self.objects, self.anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +158,7 @@ class DemoSummary:
         if not isinstance(other, DemoSummary):
             return NotImplemented
         return (self.id == other.id and self.task_id == other.task_id
-                and self.snapshot.rig == other.snapshot.rig
-                and self.snapshot.state_id == other.snapshot.state_id
-                and self.actions == other.actions)
+                and self.snapshot == other.snapshot and self.actions == other.actions)
 
     @property
     def num_waypoints(self) -> int:
@@ -213,13 +204,13 @@ def rig_to_dict(rig: StereoRig):
     return {"left": _camera_to_dict(rig.left), "right": _camera_to_dict(rig.right)}
 
 
-def snapshot_content_to_dict(content: SemanticScene):
+def scene_to_dict(scene: SceneSnapshot):
+    """A scene's objects and anchors; its rig and its id are not written."""
     return {"variant": "semantic",
-            "payload": {"state_id": content.state_id,
-                        "objects": {k: {"position": list(v.position),
+            "payload": {"objects": {k: {"position": list(v.position),
                                         "upright": v.upright}
-                                    for k, v in content.objects.items()},
-                        "anchors": {k: list(v) for k, v in content.anchors.items()}}}
+                                    for k, v in scene.objects.items()},
+                        "anchors": {k: list(v) for k, v in scene.anchors.items()}}}
 
 
 def summary_to_dict(s: DemoSummary) -> dict:
@@ -228,7 +219,7 @@ def summary_to_dict(s: DemoSummary) -> dict:
         "task_id": s.task_id,
         "control_rate_hz": s.actions.control_rate,
         "rig": rig_to_dict(s.snapshot.rig),
-        "snapshot": snapshot_content_to_dict(s.snapshot.content),
+        "snapshot": scene_to_dict(s.snapshot),
         "actions": s.actions.actions.tolist(),
     }
 
@@ -316,7 +307,9 @@ def rig_from_probe(p: _Probe) -> StereoRig:
         p.fail(str(e))
 
 
-def snapshot_content_from_probe(p: _Probe) -> SemanticScene:
+def scene_from_probe(p: _Probe, rig: StereoRig) -> SceneSnapshot:
+    """The scene `scene_to_dict` wrote, seen by `rig`; a `state_id` an
+    earlier format stored in the payload is ignored."""
     variant = p.child("variant").string()
     if variant != "semantic":
         p.child("variant").fail(f"unknown variant {variant!r}")
@@ -328,8 +321,7 @@ def snapshot_content_from_probe(p: _Probe) -> SemanticScene:
                                     upright=op.child("upright").boolean())
     anchors = {name: tuple(payload.child("anchors").child(name).vector(3))
                for name in payload.child("anchors").mapping()}
-    return SemanticScene(objects=objects, anchors=anchors,
-                         state_id=payload.child("state_id").string())
+    return SceneSnapshot(rig=rig, objects=objects, anchors=anchors)
 
 
 def parse_action_rows(p: _Probe) -> np.ndarray:
@@ -349,11 +341,10 @@ def decode_summary(data: bytes) -> DemoSummary:
 
 
 def summary_from_probe(root: _Probe) -> DemoSummary:
-    """The summary a probe's document records; its waypoints and keypoints
-    are derived, and copies an earlier format stored are ignored."""
+    """The summary a probe's document records; its waypoints, keypoints and
+    state id are derived, and copies an earlier format stored are ignored."""
     demo_id, task_id = root.child("id").string(), root.child("task_id").string()
-    snapshot = SceneSnapshot(rig=rig_from_probe(root.child("rig")),
-                             content=snapshot_content_from_probe(root.child("snapshot")))
+    snapshot = scene_from_probe(root.child("snapshot"), rig_from_probe(root.child("rig")))
     control_rate = root.child("control_rate_hz").number()
     actions_probe = root.child("actions")
     rows = parse_action_rows(actions_probe)

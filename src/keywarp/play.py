@@ -57,12 +57,11 @@ class EvaluatorInterface(Protocol):
 # ---------------------------------------------------------------------------
 # planning and evaluation
 
-def rule_based_plan(state: SymbolicState, target, tasks) -> list:
-    """Shortest task sequence ending in the target whose first step is
+def rule_based_plan(state: SymbolicState, target_id: str, tasks) -> list:
+    """Shortest task sequence ending in the target task whose first step is
     executable now. Breadth-first search over symbolic states; ties break
     by task id order."""
     ordered = sorted(tasks, key=lambda t: t.id)
-    target_id = target.id if isinstance(target, TaskSpec) else target
     if target_id not in {t.id for t in ordered}:
         raise KeyError(f"target task {target_id!r} not in the task library")
     frontier = deque([(state, [])])

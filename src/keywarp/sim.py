@@ -25,10 +25,9 @@ import numpy as np
 
 from .correspondence import Match, demo_cross_view_distances
 from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   SemanticScene, _Probe, read_json,
-                   rig_from_probe, rig_to_dict, snapshot_content_from_probe,
-                   snapshot_content_to_dict, summarize_demo, summary_from_probe,
-                   trajectory_from_parts)
+                   _Probe, read_json, rig_from_probe, rig_to_dict,
+                   scene_from_probe, scene_to_dict, summarize_demo,
+                   summary_from_probe, trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
 from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec
@@ -300,12 +299,12 @@ def randomize_world(world: SimWorld):
 
 
 def snapshot(world: SimWorld) -> SceneSnapshot:
-    """Immutable semantic snapshot of the current scene."""
-    content = SemanticScene(
+    """Immutable snapshot of the current scene."""
+    return SceneSnapshot(
+        rig=world.layout.rig,
         objects={k: ObjectState(position=tuple(v.position), upright=v.upright)
                  for k, v in world.objects.items()},
         anchors=world.layout.anchors())
-    return SceneSnapshot(rig=world.layout.rig, content=content)
 
 
 def _support_below(world: SimWorld, xy, exclude=None):
@@ -325,6 +324,16 @@ def _support_below(world: SimWorld, xy, exclude=None):
     return TABLE, world.layout.table.z
 
 
+RESTING_TOLERANCE = 0.04   # m, height band within which an object rests on a support
+
+
+def _inside(spec: ObjectSpec, container, point) -> bool:
+    """Whether `point` rests inside container `spec` standing at `container`."""
+    return (abs(point[0] - container[0]) <= spec.footprint
+            and abs(point[1] - container[1]) <= spec.footprint
+            and abs(point[2] - (container[2] + spec.interior_offset)) < RESTING_TOLERANCE)
+
+
 def symbolic_state(world: SimWorld) -> SymbolicState:
     """Slot assignment by region containment, with upright flags."""
     slots, upright = {}, {}
@@ -337,14 +346,12 @@ def symbolic_state(world: SimWorld) -> SymbolicState:
             cont = world.objects.get(spec.id)
             if cont is None or not cont.upright:
                 continue
-            if (abs(pos[0] - cont.position[0]) <= spec.footprint
-                    and abs(pos[1] - cont.position[1]) <= spec.footprint
-                    and abs(pos[2] - (cont.position[2] + spec.interior_offset)) < 0.04):
+            if _inside(spec, cont.position, pos):
                 slot = spec.id
                 break
         else:
             shelf = world.layout.shelf
-            if shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < 0.04:
+            if shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < RESTING_TOLERANCE:
                 slot = SHELF
         slots[obj_id] = slot
         upright[obj_id] = state.upright
@@ -423,10 +430,8 @@ def _close_gripper(world, at, radius, events, step):
         for other_id, other in world.objects.items():
             if other_id == best:
                 continue
-            rel = other.position - state.position
-            if (abs(rel[0]) <= spec.footprint and abs(rel[1]) <= spec.footprint
-                    and abs(rel[2] - spec.interior_offset) < 0.04):
-                world._rider_offsets[other_id] = rel.copy()
+            if _inside(spec, state.position, other.position):
+                world._rider_offsets[other_id] = other.position - state.position
     events.append({"kind": "grasp", "step": step, "object": best,
                    "distance": best_d, "riders": sorted(world._rider_offsets)})
 
@@ -476,7 +481,8 @@ class CorrespondenceOracle:
     """MatcherInterface backed by the simulator's semantic ground truth.
 
     A query pixel resolves through an (anchor, offset) annotation recorded
-    at summarization time and keyed by (scene state id, view, pixel). The
+    at summarization time and keyed by (scene state id, view, pixel); a
+    state id comes from the scene's objects and anchors alone. The
     true match is the projection of anchor-position-in-target plus offset
     into the requested view, optionally corrupted: with probability
     outlier_rate the match is replaced by a uniform random in-image pixel
@@ -499,8 +505,8 @@ class CorrespondenceOracle:
     def __init__(self, config: OracleConfig = None):
         self.config = config or OracleConfig()
         self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
-        self._memo = {}          # state_id -> view -> {pixel: (anchor|None, offset)}
-        self._memo_state = None  # the one state in the memo
+        self._memo = {}          # (view, pixel) -> (anchor|None, offset)
+        self._memo_state = None  # the state the memo's matches are into
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
@@ -511,17 +517,16 @@ class CorrespondenceOracle:
 
     def _memoize(self, state_id, view, pixel, anchor, offset):
         if state_id != self._memo_state:
-            self._memo.pop(self._memo_state, None)
+            self._memo = {}
             self._memo_state = state_id
-        self._memo.setdefault(state_id, {}).setdefault(view, {}).setdefault(
-            tuple(pixel.tolist()), (anchor, offset))
+        self._memo.setdefault((view, tuple(pixel.tolist())), (anchor, offset))
 
     @staticmethod
-    def _anchor_position(content: SemanticScene, anchor):
-        if anchor in content.objects:
-            return content.objects[anchor].position
-        if anchor in content.anchors:
-            return content.anchors[anchor]
+    def _anchor_position(scene: SceneSnapshot, anchor):
+        if anchor in scene.objects:
+            return scene.objects[anchor].position
+        if anchor in scene.anchors:
+            return scene.anchors[anchor]
         return None   # anchor object removed from the scene
 
     def _query_rng(self, src_id, tgt_id, qv, tv, pixel):
@@ -533,12 +538,13 @@ class CorrespondenceOracle:
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):
         key = tuple(np.asarray(query_pixel, dtype=float).tolist())
-        entry = (self._annotations.get((source.state_id, query_view, key))
-                 or self._memo.get(source.state_id, {}).get(query_view, {}).get(key))
+        entry = self._annotations.get((source.state_id, query_view, key))
+        if entry is None and source.state_id == self._memo_state:
+            entry = self._memo.get((query_view, key))
         if entry is None or entry[0] is None:
             return None
         anchor, offset = entry
-        anchor_pos = self._anchor_position(target.content, anchor)
+        anchor_pos = self._anchor_position(target, anchor)
         if anchor_pos is None:
             return None
         camera = target.rig.camera(target_view)
@@ -626,7 +632,7 @@ def scripted_pick_place(layout: Layout, world: SimWorld, task: TaskSpec,
                   if name != task.obj]
         for _ in range(200):   # keep the drop spot clear of other objects
             xy = region.sample_xy(rng, margin=layout.release_margin)
-            if all(np.linalg.norm(xy - o) >= 0.12 for o in others):
+            if all(np.linalg.norm(xy - o) >= MIN_SEPARATION for o in others):
                 break
         else:
             raise PreconditionUnsatisfiable(
@@ -716,7 +722,7 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
             "initial": {"anchors": [
                 {"anchor": task.obj, "offset": list(layout.object_spec(task.obj).grasp_offset)},
                 {"anchor": anchor, "offset": (rp - anchor_pos).tolist()}]},
-            "final": {"scene": snapshot_content_to_dict(snapshot(world).content),
+            "final": {"scene": scene_to_dict(snapshot(world)),
                       "anchor": task.obj,
                       "offset": (rp - world.objects[task.obj].position).tolist()},
         }
@@ -763,9 +769,8 @@ class DemoLibrary:
             if len(anchors) != demo.num_waypoints:
                 initial.child("anchors").fail(f"expected one anchor per waypoint "
                                               f"({demo.num_waypoints}), got {len(anchors)}")
-            self.final_snapshots[demo_id] = SceneSnapshot(
-                rig=demo.snapshot.rig,
-                content=snapshot_content_from_probe(final.child("scene")))
+            self.final_snapshots[demo_id] = scene_from_probe(final.child("scene"),
+                                                             demo.snapshot.rig)
             marks = [(demo.snapshot, t, a) for t, a in enumerate(anchors)]
             for snap, t, a in marks + [(self.final_snapshots[demo_id], -1, final)]:
                 anchor, offset = a.child("anchor").string(), a.child("offset").vector(3)

@@ -382,13 +382,15 @@ def test_library_file_missing_field_exits_2_naming_its_path(cli_library, tmp_pat
 def _put_back_dropped_copies(lib, state_id):
     """Rewrite a library in the format that stored copies: the index's task
     list and entry task ids, each sidecar's demo id, task id and block
-    state ids, here all set to `state_id`, and each summary's waypoint
-    frames, waypoints and keypoints, here all wrong."""
+    state ids, the state ids of each summary's snapshot and of each
+    sidecar's final scene, here all set to `state_id`, and each summary's
+    waypoint frames, waypoints and keypoints, here all wrong."""
     index = json.loads((lib / "index.json").read_text())
     for entry in index["demos"]:
         summary = json.loads((lib / entry["file"]).read_text())
         summary.update(waypoint_indices=[0], waypoints=[[0.0, 0.0, 0.0]],
                        keypoints={"left": [[0.0, 0.0]], "right": [[0.0, 0.0]]})
+        summary["snapshot"]["payload"]["state_id"] = state_id
         (lib / entry["file"]).write_text(json.dumps(summary, sort_keys=True, indent=2))
         task_id = summary["task_id"]
         entry["task_id"] = task_id
@@ -396,6 +398,7 @@ def _put_back_dropped_copies(lib, state_id):
         side.update(demo_id=entry["id"], task_id=task_id)
         for block in ("initial", "final"):
             side[block]["state_id"] = state_id
+        side["final"]["scene"]["payload"]["state_id"] = state_id
         (lib / entry["sidecar"]).write_text(json.dumps(side, sort_keys=True, indent=2))
     index["tasks"] = sorted({e["task_id"] for e in index["demos"]})
     (lib / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2))
@@ -403,15 +406,16 @@ def _put_back_dropped_copies(lib, state_id):
 
 def test_library_with_stored_copies_plays_the_same(cli_library, tmp_path):
     """A library written with the old copies, even ones that disagree with
-    the summaries, gives the same session: the copies are never read."""
+    the summaries, gives the same degraded session: the copies are never
+    read, so no noise draw is keyed on a stored state id."""
     old = tmp_path / "old"
     shutil.copytree(cli_library, old)
     _put_back_dropped_copies(old, "0" * 24)
     logs = []
     for lib in (cli_library, old):
         out = tmp_path / f"s-{lib.name}"
-        assert main(["play", "--demos", str(lib), "--out", str(out),
-                     "--iterations", "30"]) == 0
+        assert main(["play", "--demos", str(lib), "--out", str(out), "--iterations", "30",
+                     "--sigma", "2", "--outlier-rate", "0.05"]) == 0
         logs.append((out / "session_log.jsonl").read_bytes())
     assert logs[0] == logs[1]
     assert any(r["feasible"] for r in read_session_log(tmp_path / "s-old" / "session_log.jsonl"))

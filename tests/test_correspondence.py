@@ -6,21 +6,18 @@ from keywarp.correspondence import (AllInfeasible, FilterConfig, Match,
                                     MatchOutcome, cross_view_distance,
                                     demo_cross_view_distances, match_demo,
                                     select_source_demo)
-from keywarp.demo import ObjectState, SceneSnapshot, SemanticScene
+from keywarp.demo import ObjectState, SceneSnapshot
 
 
 def _shifted_snapshot(snapshot, delta, objects=None):
-    """Copy of a semantic snapshot with chosen objects rigidly translated."""
-    content = snapshot.content
+    """Copy of a snapshot with chosen objects rigidly translated."""
     moved = {}
-    for name, state in content.objects.items():
+    for name, state in snapshot.objects.items():
         pos = np.array(state.position)
         if objects is None or name in objects:
             pos = pos + delta
         moved[name] = ObjectState(position=tuple(pos), upright=state.upright)
-    return SceneSnapshot(rig=snapshot.rig,
-                         content=SemanticScene(objects=moved,
-                                               anchors=content.anchors))
+    return SceneSnapshot(rig=snapshot.rig, objects=moved, anchors=snapshot.anchors)
 
 
 class _PerturbLeftPrimary:

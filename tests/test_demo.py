@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from keywarp.demo import (ConfigError, NoWaypoints, SceneSnapshot,
-                          SchemaError, SemanticScene, Trajectory,
+                          SchemaError, Trajectory,
                           decode_summary, encode_summary, extract_waypoints,
                           save_demo_library, summarize_demo,
                           trajectory_from_parts)
@@ -61,12 +61,12 @@ def test_scripted_demo_has_grasp_and_release_waypoints(layout):
         assert g[demo.waypoint_indices[0]] == 1
         assert g[demo.waypoint_indices[1]] == 0
         # the grasp waypoint sits exactly on the staged object's grasp point
-        obj_pos = np.array(demo.snapshot.content.objects[task.obj].position)
+        obj_pos = np.array(demo.snapshot.objects[task.obj].position)
         assert np.allclose(demo.waypoints[0], obj_pos + grasp_offset, atol=1e-12)
         # the release waypoint matches its recorded destination anchor
         release = sidecars[demo.id]["initial"]["anchors"][1]
         assert release["anchor"] == task.dest
-        anchor_pos = np.array(demo.snapshot.content.anchors[task.dest])
+        anchor_pos = np.array(demo.snapshot.anchors[task.dest])
         assert np.allclose(demo.waypoints[1], anchor_pos + release["offset"],
                            atol=1e-12)
 
@@ -92,8 +92,7 @@ def test_waypoint_behind_camera_raises(layout):
     positions[2] = [-0.2, -5.0, 0.5]   # behind both cameras
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     traj = trajectory_from_parts(positions, quats, np.array(bits, float))
-    content = SemanticScene(objects={}, anchors={})
-    snap = SceneSnapshot(rig=layout.rig, content=content)
+    snap = SceneSnapshot(rig=layout.rig, objects={}, anchors={})
     with pytest.raises(NonPositiveDepth):
         summarize_demo(traj, snap, "task", "demo")
 
@@ -137,9 +136,10 @@ def test_schema_error_on_bad_rig(library):
 
 def test_golden_file_decodes_and_reencodes():
     """Golden file generated once, in the earlier format that also stored the
-    waypoint frames, waypoints and keypoints, and audited against the
-    documented schema. Those derived at load equal the stored ones bit for
-    bit, and re-encoding gives the file without them."""
+    waypoint frames, waypoints, keypoints and snapshot state id, and audited
+    against the documented schema. The waypoints and keypoints derived at
+    load equal the stored ones bit for bit, and re-encoding gives the file
+    without those four keys."""
     payload = GOLDEN.read_bytes()
     doc = json.loads(payload)
     derived = {"waypoint_indices", "waypoints", "keypoints"}
@@ -155,6 +155,7 @@ def test_golden_file_decodes_and_reencodes():
     assert summary.waypoint_indices.tolist() == doc["waypoint_indices"]
     assert summary.waypoints.tolist() == doc["waypoints"]
     assert {v: summary.keypoints[v].tolist() for v in ("left", "right")} == doc["keypoints"]
+    del doc["snapshot"]["payload"]["state_id"]   # an id an earlier scheme hashed
     recorded = {k: v for k, v in doc.items() if k not in derived}
     assert encode_summary(summary) == json.dumps(recorded, sort_keys=True, indent=2).encode()
 
@@ -184,7 +185,8 @@ def test_each_final_snapshot_has_its_own_demos_rig(library):
     first, second = sorted(library.demos.values(), key=lambda d: d.id)[:2]
     rig = second.snapshot.rig
     swapped = SceneSnapshot(rig=StereoRig(left=rig.right, right=rig.left),
-                            content=second.snapshot.content)
+                            objects=second.snapshot.objects,
+                            anchors=second.snapshot.anchors)
     second = summarize_demo(second.actions, swapped, second.task_id, second.id)
     mixed = DemoLibrary([first, second], {d.id: library.sidecars[d.id]
                                           for d in (first, second)})

@@ -171,7 +171,7 @@ def test_verification_detects_dropped_object(library, clean_oracle, layout):
     demo_id = library.by_task["pineapple_table_to_shelf"][0]
     demo = library.demos[demo_id]
     world = spawn_world(layout, seed=77, params=None)
-    for name, state in demo.snapshot.content.objects.items():
+    for name, state in demo.snapshot.objects.items():
         world.objects[name].position = np.array(state.position)
     # corrupt only the grasp waypoint so the close lands far from the object
     targets = demo.waypoints.copy()

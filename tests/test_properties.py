@@ -4,16 +4,18 @@ execute_plan's toggle-frame stepping equals a plain per-step loop,
 warp_trajectory's one-pass warp equals warping and retiming segment by
 segment, and the warp invariants hold: warping is affine in the endpoint
 displacements, target waypoints are pinned exactly, and retiming gives
-the documented step count with pinned endpoints."""
+the documented step count with pinned endpoints. A scene's state id is
+the same for Python float and np.float64 positions."""
 
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from keywarp.demo import Trajectory, trajectory_from_parts
+from keywarp.demo import ObjectState, SceneSnapshot, Trajectory, trajectory_from_parts
 from keywarp.geometry import (CameraIntrinsics, StereoRig, look_at_camera,
                               point_ray_distance, project,
                               ray_through_pixel, triangulate)
@@ -318,3 +320,33 @@ def test_retime_segment_step_count_and_pinned_endpoints(source, stretch, jitter,
     assert len(positions) == len(orientations) == max(1, round(scaled_steps)) + 1
     assert np.array_equal(positions[[0, -1]], warped[[0, -1]])
     assert np.array_equal(orientations[[0, -1]], quats[[0, -1]])
+
+
+def repr_state_id(objects, anchors):
+    """The id as earlier versions hashed it, from each scalar's own repr."""
+    parts = [f"{name}:{p[0]!r},{p[1]!r},{p[2]!r},{int(up)}"
+             for name, (p, up) in sorted(objects.items())]
+    parts += [f"@{name}:{p[0]!r},{p[1]!r},{p[2]!r}" for name, p in sorted(anchors.items())]
+    return hashlib.blake2b("|".join(parts).encode(), digest_size=12).hexdigest()
+
+
+names = st.sampled_from(["bowl", "pineapple", "cup", "table", "shelf"])
+point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+
+
+@given(st.dictionaries(names, st.tuples(point, st.booleans()), max_size=4),
+       st.dictionaries(names, point, max_size=3))
+def test_state_id_does_not_depend_on_the_scalar_type(objects, anchors):
+    """Python floats and np.float64 give one id, and for np.float64 object
+    positions it is the id numpy 2 gave when each scalar's repr was hashed."""
+    ids = []
+    for cast in (float, np.float64):
+        scene = SceneSnapshot(
+            rig=LAYOUT.rig, anchors={k: tuple(map(cast, p)) for k, p in anchors.items()},
+            objects={k: ObjectState(tuple(map(cast, p)), up) for k, (p, up) in objects.items()})
+        ids.append(scene.state_id)
+    assert ids[0] == ids[1]
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        typed = {k: (tuple(map(np.float64, p)), up) for k, (p, up) in objects.items()}
+        anchors = {k: tuple(map(float, p)) for k, p in anchors.items()}
+        assert ids[0] == repr_state_id(typed, anchors)

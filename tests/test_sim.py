@@ -7,7 +7,7 @@ from scipy import stats
 
 from conftest import drop_key, json_key_paths, make_oracle
 from keywarp.correspondence import FilterConfig, match_demo
-from keywarp.demo import SchemaError, save_demo_library
+from keywarp.demo import ObjectState, SceneSnapshot, SchemaError, save_demo_library
 from keywarp.geometry import project
 from keywarp.sim import (ConfigError, CorrespondenceOracle, DemoLibrary,
                          OracleConfig, SlotRegion, WorldParams, execute_plan,
@@ -24,7 +24,7 @@ def world_from_snapshot(layout, snap, params=None):
     """Rebuild a world whose objects sit exactly where a snapshot says."""
     world = spawn_world(layout, seed=0, params=params or WorldParams(
         p_tip=0.0, settle_jitter=0.0))
-    for name, state in snap.content.objects.items():
+    for name, state in snap.objects.items():
         world.objects[name].position = np.array(state.position)
         world.objects[name].upright = state.upright
     return world
@@ -80,10 +80,10 @@ def test_spawn_positions_uniform_chi2(layout):
 def test_snapshot_is_immutable_copy(layout):
     world = spawn_world(layout, seed=5)
     snap = snapshot(world)
-    before = dict(snap.content.objects)
+    before = dict(snap.objects)
     world.objects["pineapple"].position = world.objects["pineapple"].position + 0.3
     after = snapshot(world)
-    assert snap.content.objects == before
+    assert snap.objects == before
     assert snap.state_id != after.state_id
 
 
@@ -91,7 +91,19 @@ def test_identical_worlds_give_equal_snapshots(layout):
     a = snapshot(spawn_world(layout, seed=7))
     b = snapshot(spawn_world(layout, seed=7))
     assert a.state_id == b.state_id
-    assert a.content == b.content
+    assert a == b
+
+
+def test_state_id_is_pinned_and_does_not_depend_on_the_scalar_type(layout):
+    """A live scene of the default layout keeps the id earlier versions
+    stored for it, and the same scene with its positions as Python floats
+    has that id too."""
+    snap = snapshot(spawn_world(layout, 0))
+    assert snap.state_id == "6b96a22a11f0397cd7a47e07"
+    as_floats = SceneSnapshot(rig=snap.rig, anchors=snap.anchors, objects={
+        k: ObjectState(tuple(map(float, o.position)), o.upright)
+        for k, o in snap.objects.items()})
+    assert as_floats.state_id == snap.state_id
 
 
 def test_snapshot_matches_like_the_stored_demo(layout):
@@ -140,11 +152,9 @@ def test_oracle_translated_object_matches_projection(library, clean_oracle, layo
 
 def test_oracle_no_match_when_object_removed(library, clean_oracle, layout):
     demo = library.demos[library.by_task["pineapple_table_to_shelf"][0]]
-    content = demo.snapshot.content
-    from keywarp.demo import SceneSnapshot, SemanticScene
-    stripped = SceneSnapshot(rig=demo.snapshot.rig, content=SemanticScene(
-        objects={k: v for k, v in content.objects.items() if k != "pineapple"},
-        anchors=content.anchors))
+    scene = demo.snapshot
+    stripped = SceneSnapshot(rig=scene.rig, anchors=scene.anchors, objects={
+        k: v for k, v in scene.objects.items() if k != "pineapple"})
     m = clean_oracle.match(demo.snapshot, stripped,
                            demo.keypoints["left"][0], "left", "left")
     assert m is None
@@ -175,8 +185,7 @@ def test_oracle_outlier_confidence_flags(library):
 
 
 def _anchor_scene(rig, **anchors):
-    from keywarp.demo import SceneSnapshot, SemanticScene
-    return SceneSnapshot(rig=rig, content=SemanticScene(objects={}, anchors=anchors))
+    return SceneSnapshot(rig=rig, objects={}, anchors=anchors)
 
 
 def test_oracle_duplicate_pixel_resolves_to_first_registration(layout):
@@ -213,7 +222,7 @@ def test_oracle_memo_keeps_only_the_latest_observation(library, clean_oracle, la
         target = _moved(layout, demo.snapshot, np.array([0.002 * (i + 1), 0.0, 0.0]))
         assert match_demo(clean_oracle, demo, target, FilterConfig(),
                           library.demo_side_distances[demo.id]).feasible
-    assert list(clean_oracle._memo) == [target.state_id]
+    assert clean_oracle._memo_state == target.state_id
     assert sum(map(len, clean_oracle._annotations.values())) == n_annotations
 
 
@@ -352,7 +361,7 @@ def test_settling_deterministic_per_seed(layout, library, clean_oracle):
     def run(seed):
         world = spawn_world(layout, seed=seed,
                             params=WorldParams(settle_jitter=0.01, p_tip=0.5))
-        for name, state in demo.snapshot.content.objects.items():
+        for name, state in demo.snapshot.objects.items():
             world.objects[name].position = np.array(state.position)
         outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
                              library.demo_side_distances[demo.id])

@@ -249,7 +249,7 @@ def test_warped_speed_stays_close_to_source(library):
 
 def test_single_waypoint_demo(library, layout):
     """One toggle: home-anchored head, rigidly shifted tail."""
-    from keywarp.demo import SceneSnapshot, SemanticScene, summarize_demo
+    from keywarp.demo import SceneSnapshot, summarize_demo
     n = 9
     t = np.linspace(0, 1, n)
     positions = np.stack([0.3 + 0.3 * t, 0.1 * t, 0.3 - 0.2 * t], axis=1)
@@ -257,7 +257,7 @@ def test_single_waypoint_demo(library, layout):
     bits = np.zeros(n)
     bits[5:] = 1.0
     traj = trajectory_from_parts(positions, quats, bits)
-    snap = SceneSnapshot(rig=layout.rig, content=SemanticScene(objects={}, anchors={}))
+    snap = SceneSnapshot(rig=layout.rig, objects={}, anchors={})
     demo = summarize_demo(traj, snap, "t", "single")
     assert demo.num_waypoints == 1
     delta = np.array([0.0, 0.05, 0.0])
