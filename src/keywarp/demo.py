@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,21 @@ def summary_to_dict(s: DemoSummary) -> dict:
 
 
 def encode_summary(s: DemoSummary) -> bytes:
-    return json.dumps(summary_to_dict(s), sort_keys=True, indent=2).encode()
+    """`json.dumps(summary_to_dict(s), sort_keys=True, indent=2)`, byte for
+    byte. The `actions` rows, most of a file, are written directly as each
+    float's repr, which is what json writes for a finite float (a
+    Trajectory's actions are finite); "actions" is the first key in sorted
+    order, so it opens the document."""
+    doc = summary_to_dict(s)
+    rows = doc.pop("actions")
+    rest = json.dumps(doc, sort_keys=True, indent=2)
+    actions = "\n    ],\n    [\n      ".join(",\n      ".join(map(repr, row)) for row in rows)
+    return f'{{\n  "actions": [\n    [\n      {actions}\n    ]\n  ],\n{rest[2:]}'.encode()
+
+
+def _all_numbers(values) -> bool:
+    """Every value is a JSON number: an int or a float, not a bool."""
+    return set(map(type, values)) <= {int, float}
 
 
 class _Probe:
@@ -240,10 +255,10 @@ class _Probe:
         raise SchemaError(f"{where}: {msg}")
 
     def child(self, key):
-        if key not in self.mapping():
+        doc = self.mapping()
+        if key not in doc:
             self.fail(f"missing key {key!r}")
-        sep = "." if self.path else ""
-        return _Probe(self.doc[key], f"{self.path}{sep}{key}")
+        return _Probe(doc[key], f"{self.path}.{key}" if self.path else key)
 
     def string(self):
         if not isinstance(self.doc, str):
@@ -253,7 +268,10 @@ class _Probe:
     def number(self):
         if isinstance(self.doc, bool) or not isinstance(self.doc, (int, float)):
             self.fail("expected number")
-        return float(self.doc)
+        try:
+            return float(self.doc)
+        except OverflowError:   # an integer literal beyond the float64 range
+            self.fail("number too large for a float")
 
     def integer(self):
         if isinstance(self.doc, bool) or not isinstance(self.doc, int):
@@ -271,6 +289,11 @@ class _Probe:
         return [_Probe(v, f"{self.path}[{i}]") for i, v in enumerate(self.doc)]
 
     def vector(self, n):
+        if type(self.doc) is list and len(self.doc) == n and _all_numbers(self.doc):
+            try:
+                return list(map(float, self.doc))
+            except OverflowError:
+                pass   # named below
         items = self.array()
         if len(items) != n:
             self.fail(f"expected {n} numbers, got {len(items)}")
@@ -310,21 +333,33 @@ def rig_from_probe(p: _Probe) -> StereoRig:
 def scene_from_probe(p: _Probe, rig: StereoRig) -> SceneSnapshot:
     """The scene `scene_to_dict` wrote, seen by `rig`; a `state_id` an
     earlier format stored in the payload is ignored."""
-    variant = p.child("variant").string()
-    if variant != "semantic":
-        p.child("variant").fail(f"unknown variant {variant!r}")
+    variant = p.child("variant")
+    if variant.string() != "semantic":
+        variant.fail(f"unknown variant {variant.doc!r}")
     payload = p.child("payload")
-    objects = {}
-    for name in payload.child("objects").mapping():
-        op = payload.child("objects").child(name)
-        objects[name] = ObjectState(position=tuple(op.child("position").vector(3)),
-                                    upright=op.child("upright").boolean())
-    anchors = {name: tuple(payload.child("anchors").child(name).vector(3))
-               for name in payload.child("anchors").mapping()}
-    return SceneSnapshot(rig=rig, objects=objects, anchors=anchors)
+    objects, states = payload.child("objects"), {}
+    for name in objects.mapping():
+        op = objects.child(name)
+        states[name] = ObjectState(position=tuple(op.child("position").vector(3)),
+                                   upright=op.child("upright").boolean())
+    anchors = payload.child("anchors")
+    return SceneSnapshot(rig=rig, objects=states,
+                         anchors={name: tuple(anchors.child(name).vector(3))
+                                  for name in anchors.mapping()})
 
 
 def parse_action_rows(p: _Probe) -> np.ndarray:
+    """The (M, 8) float array of a document's action rows. Well-formed rows
+    are checked and converted in bulk; per-value probes walk them only to
+    name the first bad field."""
+    rows = p.doc
+    if (type(rows) is list and len(rows) >= 2 and set(map(type, rows)) == {list}
+            and set(map(len, rows)) == {ACTION_DIM}
+            and _all_numbers(chain.from_iterable(rows))):
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:
+            pass   # named below
     rows = p.array()
     if len(rows) < 2:
         p.fail("expected at least 2 actions")
@@ -376,12 +411,21 @@ def save_demo_library(directory, summaries, sidecars):
 
 def read_json(path, parse, error=ConfigError):
     """`parse` applied to a `_Probe` rooted at `path` over the file's JSON
-    document. Every failure names the file and is an `error`: the default
-    ConfigError (exit 2) for an input the user names, OSError (exit 4) for
-    a session artifact. Failures are the file missing or unreadable, its
-    text not JSON, and `parse` finding a field missing or of the wrong type."""
+    document: `read_json_with_bytes` without the bytes, failing the same ways."""
+    return read_json_with_bytes(path, parse, error)[0]
+
+
+def read_json_with_bytes(path, parse, error=ConfigError) -> tuple:
+    """(`parse` applied to a `_Probe` rooted at `path` over the file's JSON
+    document, the file's bytes). The file is read once, so the bytes returned
+    are the bytes parsed. Every failure names the file and is an `error`:
+    the default ConfigError (exit 2) for an input the user names, OSError
+    (exit 4) for a session artifact. Failures are the file missing or
+    unreadable, its text not JSON, and `parse` finding a field missing, of
+    the wrong type, or a number too large for a float64."""
     try:
-        return parse(_Probe(json.loads(Path(path).read_text()), str(path)))
+        data = Path(path).read_bytes()
+        return parse(_Probe(json.loads(data), str(path))), data
     except FileNotFoundError as e:
         raise error(f"{path} is missing") from e
     except json.JSONDecodeError as e:

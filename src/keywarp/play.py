@@ -242,7 +242,8 @@ class SessionConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
         """Config from a JSON object; each value must have its field's type,
-        where a float field also takes an int and no number field takes a bool."""
+        where a float field also takes an int within the float64 range and no
+        number field takes a bool."""
         if not isinstance(doc, dict):
             raise ConfigError("session config must be a JSON object")
         hints = get_type_hints(cls)
@@ -254,6 +255,11 @@ class SessionConfig:
             allowed = types[key] + ((int,) if float in types[key] else ())
             if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
                 raise ConfigError(f"config key {key!r} has the wrong type")
+            if float in types[key]:
+                try:
+                    float(value)
+                except OverflowError:   # an int beyond the float64 range
+                    raise ConfigError(f"config key {key!r} is too large for a float") from None
         return cls(**doc)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .correspondence import Match, demo_cross_view_distances
 from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   _Probe, read_json, rig_from_probe, rig_to_dict,
+                   _Probe, read_json_with_bytes, rig_from_probe, rig_to_dict,
                    scene_from_probe, scene_to_dict, summarize_demo,
                    summary_from_probe, trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
@@ -785,26 +785,27 @@ class DemoLibrary:
 
     @staticmethod
     def load(directory, digest=None) -> "DemoLibrary":
-        """The library in `directory`; its `digest` is the sha256 of the bytes
-        of the index, then of each entry's summary and sidecar. ConfigError
-        naming the file when the index, a summary or a sidecar is missing, not
-        JSON or malformed, or a summary's id is not its entry's, and naming
-        `directory` when `digest` is given and differs."""
+        """The library in `directory`, each file read once; its `digest` is the
+        sha256 of the bytes parsed: of the index, then of each entry's summary
+        and sidecar. ConfigError naming the file when the index, a summary or
+        a sidecar is missing, not JSON or malformed, or a summary's id is not
+        its entry's, and naming `directory` when `digest` is given and differs."""
         directory = Path(directory)
-        entries = read_json(directory / INDEX_FILE, lambda p: [
+        entries, index_bytes = read_json_with_bytes(directory / INDEX_FILE, lambda p: [
             (e.child("id").string(), directory / e.child("file").string(),
              directory / e.child("sidecar").string()) for e in p.child("demos").array()])
         if not entries:
             raise ConfigError(f"demo library at {directory} is empty")
-        demos = [read_json(summary, summary_from_probe) for _, summary, _ in entries]
-        for (demo_id, summary, _), demo in zip(entries, demos):
+        sha = hashlib.sha256(index_bytes)
+        demos, sidecars, files = [], {}, {}
+        for demo_id, summary, sidecar in entries:
+            demo, summary_bytes = read_json_with_bytes(summary, summary_from_probe)
             if demo.id != demo_id:
                 raise ConfigError(f"{summary}: id {demo.id!r} is not the index's {demo_id!r}")
-        files = {demo_id: sidecar for demo_id, _, sidecar in entries}
-        sidecars = {demo_id: read_json(path, _Probe.mapping) for demo_id, path in files.items()}
-        sha = hashlib.sha256((directory / INDEX_FILE).read_bytes())
-        for _, summary, sidecar in entries:
-            sha.update(summary.read_bytes() + sidecar.read_bytes())
+            sidecars[demo_id], sidecar_bytes = read_json_with_bytes(sidecar, _Probe.mapping)
+            sha.update(summary_bytes + sidecar_bytes)
+            demos.append(demo)
+            files[demo_id] = sidecar
         if digest not in (None, sha.hexdigest()):
             raise ConfigError(f"demo library at {directory} changed since the session played it")
         return DemoLibrary(demos, sidecars, files, sha.hexdigest())

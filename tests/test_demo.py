@@ -110,14 +110,52 @@ def test_truncated_bytes_raise_schema_error(library):
         decode_summary(payload[: len(payload) // 2])
 
 
-def test_schema_error_names_the_field(library):
-    doc = json.loads(encode_summary(next(iter(library.demos.values()))))
-    doc["actions"][3] = [1.0, 2.0]
-    with pytest.raises(SchemaError, match=r"actions\[3\]"):
-        decode_summary(json.dumps(doc).encode())
+def _set_value(doc, value, *keys):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+def _drop_actions(doc):
     del doc["actions"]
-    with pytest.raises(SchemaError, match="actions"):
+
+
+ACTION_DAMAGE = {   # case: (damage, the message decoding gives)
+    "true": (lambda d: _set_value(d, True, "actions", 3, 2), "actions[3][2]: expected number"),
+    "string": (lambda d: _set_value(d, "1.5", "actions", 3, 2),
+               "actions[3][2]: expected number"),
+    "null": (lambda d: _set_value(d, None, "actions", 3, 2), "actions[3][2]: expected number"),
+    "too-large": (lambda d: _set_value(d, 10**400, "actions", 3, 2),
+                  "actions[3][2]: number too large for a float"),
+    "row-of-7": (lambda d: d["actions"][3].pop(), "actions[3]: expected 8 numbers, got 7"),
+    "row-of-2": (lambda d: _set_value(d, [1.0, 2.0], "actions", 3),
+                 "actions[3]: expected 8 numbers, got 2"),
+    "row-object": (lambda d: _set_value(d, {"x": 1.0}, "actions", 3),
+                   "actions[3]: expected array"),
+    "actions-object": (lambda d: _set_value(d, {"0": d["actions"][0]}, "actions"),
+                       "actions: expected array"),
+    "one-row": (lambda d: _set_value(d, d["actions"][:1], "actions"),
+                "actions: expected at least 2 actions"),
+    "no-actions": (_drop_actions, "<root>: missing key 'actions'"),
+}
+
+
+@pytest.mark.parametrize("damage, message", ACTION_DAMAGE.values(), ids=ACTION_DAMAGE.keys())
+def test_schema_error_names_the_field(library, damage, message):
+    doc = json.loads(encode_summary(next(iter(library.demos.values()))))
+    damage(doc)
+    with pytest.raises(SchemaError) as e:
         decode_summary(json.dumps(doc).encode())
+    assert str(e.value) == message
+
+
+def test_integer_action_values_load_as_floats(library):
+    """JSON integers are numbers: a gripper column of 0 and 1 loads."""
+    demo = next(iter(library.demos.values()))
+    doc = json.loads(encode_summary(demo))
+    for row in doc["actions"]:
+        row[7] = int(row[7])
+    assert decode_summary(json.dumps(doc).encode()) == demo
 
 
 def test_snapshot_variant_other_than_semantic_is_a_schema_error(library):

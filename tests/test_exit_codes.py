@@ -2,7 +2,8 @@
 names (`--config`, `--layout`, a library's index, summaries and sidecars), 4
 for a session artifact (checkpoint, session state, session log). Each
 file is damaged three ways (missing, not JSON, a required key deleted) and
-the message must name it."""
+the message must name it; a config, a summary, a sidecar and a checkpoint
+also get a number too large for a float."""
 
 import json
 import shutil
@@ -139,10 +140,26 @@ def _value_of_the_wrong_type(path, keys):
     path.write_text("".join(lines))
 
 
+def _number_too_large(*keys):
+    """Set the value at `keys` to an integer beyond the float64 range."""
+    def damage(path, _):
+        doc = target = json.loads(path.read_text())
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = 10**400
+        path.write_text(json.dumps(doc))
+    damage.__name__ = "number_too_large"
+    return damage
+
+
 CASES = [(name, damage) for name in FILES
          for damage in (_missing, _not_json, _key_deleted)]
 CASES.append(("checkpoint", _checkpoint_layout_without_keys))
 CASES += [(name, _value_of_the_wrong_type) for name in ("log-resume", "log-report")]
+CASES += [("config", _number_too_large("pixel_noise_sigma")),
+          ("summary", _number_too_large("actions", 3, 2)),
+          ("sidecar", _number_too_large("final", "offset", 1)),
+          ("checkpoint", _number_too_large("world", "gripper", "position", 0))]
 
 
 def _exit_code(argv):

@@ -5,17 +5,20 @@ warp_trajectory's one-pass warp equals warping and retiming segment by
 segment, and the warp invariants hold: warping is affine in the endpoint
 displacements, target waypoints are pinned exactly, and retiming gives
 the documented step count with pinned endpoints. A scene's state id is
-the same for Python float and np.float64 positions."""
+the same for Python float and np.float64 positions. A summary's encoding
+equals json's indented output for any action values."""
 
 import copy
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from keywarp.demo import ObjectState, SceneSnapshot, Trajectory, trajectory_from_parts
+from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, encode_summary,
+                          summary_to_dict, trajectory_from_parts)
 from keywarp.geometry import (CameraIntrinsics, StereoRig, look_at_camera,
                               point_ray_distance, project,
                               ray_through_pixel, triangulate)
@@ -350,3 +353,31 @@ def test_state_id_does_not_depend_on_the_scalar_type(objects, anchors):
         typed = {k: (tuple(map(np.float64, p)), up) for k, (p, up) in objects.items()}
         anchors = {k: tuple(map(float, p)) for k, p in anchors.items()}
         assert ids[0] == repr_state_id(typed, anchors)
+
+
+# ---------------------------------------------------------------------------
+# summary encoding
+
+action_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**60, 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, 1.7976931348623157e308,
+                     0.1, 3.0, -2.0, 123456789.0]))
+unit_quat = st.sampled_from([(1.0, 0.0, 0.0, 0.0), (-0.0, 1.0, -0.0, 0.0),
+                             (0.6, 0.8, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(DEMOS),
+       st.lists(st.tuples(st.tuples(action_value, action_value, action_value),
+                          unit_quat, st.sampled_from([0.0, 1.0])), min_size=2, max_size=6),
+       st.one_of(st.floats(1e-300, 1e300), st.integers(1, 1000).map(float)))
+def test_encode_summary_equals_the_json_reference(demo, rows, control_rate):
+    """The rows written directly equal json's indented output byte for byte,
+    whatever the float: signed zeros, subnormals, exponents and integral
+    values. The encoder reads only the recorded fields, so the derived ones
+    are left as they were."""
+    actions = np.array([[*p, *q, g] for p, q, g in rows])
+    summary = dataclasses.replace(demo, actions=Trajectory(actions, control_rate))
+    reference = json.dumps(summary_to_dict(summary), sort_keys=True, indent=2).encode()
+    assert encode_summary(summary) == reference

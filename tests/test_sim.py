@@ -1,5 +1,11 @@
+import builtins
+import collections
 import copy
+import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +468,28 @@ def test_library_digest_covers_every_file_it_reads(tmp_path, layout):
     with pytest.raises(ConfigError) as e:
         DemoLibrary.load(tmp_path / "a", digest)
     assert str(tmp_path / "a") in str(e.value)
+
+
+def test_load_reads_each_file_once_and_hashes_the_bytes_parsed(tmp_path, layout,
+                                                              monkeypatch):
+    """A load opens each library file once, and its digest is the sha256 of
+    those bytes: the index, then each entry's summary and its sidecar."""
+    demos, sidecars = generate_seed_demos(layout, builtin_tasks()[0], n=2, seed=0)
+    save_demo_library(tmp_path, demos, sidecars)
+    entries = json.loads((tmp_path / "index.json").read_text())["demos"]
+    names = ["index.json"] + [e[key] for e in entries for key in ("file", "sidecar")]
+    expected = hashlib.sha256(b"".join((tmp_path / n).read_bytes() for n in names))
+    reads, real_open = collections.Counter(), io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == tmp_path:
+            reads[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    library = DemoLibrary.load(tmp_path)
+    assert reads == collections.Counter(names)
+    assert library.digest == expected.hexdigest()
 
 
 def test_unstageable_demo_task_raises(layout):
