@@ -45,7 +45,7 @@ shift = outcome.target_waypoints - demo.waypoints
 print(f"waypoint displacements: {np.round(shift, 3).tolist()}")
 
 pre = symbolic_state(world)
-trace = execute_plan(world, plan)
+trace = execute_plan(world, plan.trajectory)
 post = symbolic_state(world)
 print(f"\nexecuted: {pre.slot_of(task.obj)} -> {post.slot_of(task.obj)} "
       f"(events: {[e['kind'] for e in trace.events]})")

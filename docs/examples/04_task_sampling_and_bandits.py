@@ -25,8 +25,7 @@ p = [0.8, 0.3, 0.3, 0.3, 0.3]
 arms = {f"demo-{i}": ArmStats() for i in range(len(p))}
 ids = sorted(arms)
 for round_i in range(300):
-    total = sum(a.pulls for a in arms.values())
-    choice = select_top_k(arms, total, 1, c=1.0)[0]
+    choice = select_top_k(arms, 1, c=1.0)[0]
     reward = int(rng.random() < p[ids.index(choice)])
     update_stats(arms, choice, reward)
 
@@ -36,4 +35,4 @@ for demo_id in ids:
     idx = ucb_index(a, total, 1.0)
     print(f"  {demo_id}: pulls {a.pulls:3d}, successes {a.successes:3d}, "
           f"ucb index {idx:.3f}")
-print("  top-3 candidate pool:", select_top_k(arms, total, 3, c=1.0))
+print("  top-3 candidate pool:", select_top_k(arms, 3, c=1.0))

@@ -64,11 +64,13 @@ def ucb_index(arm: ArmStats, total_pulls: int, c: float) -> float:
     return mean + c * math.sqrt(2.0 * math.log(total_pulls) / arm.pulls)
 
 
-def select_top_k(arms, total_pulls: int, k: int, c: float):
-    """Ids of the k highest-index demos (all of them if fewer than k).
+def select_top_k(arms, k: int, c: float):
+    """Ids of the k highest-index demos at the arms' total pulls (all of them
+    if fewer than k).
 
     Ties, including ties among unpulled arms, break toward the lowest id.
     """
+    total_pulls = sum(a.pulls for a in arms.values())
     ranked = sorted(arms, key=lambda d: (-ucb_index(arms[d], total_pulls, c), d))
     return ranked[:k]
 

@@ -13,8 +13,9 @@ becomes the warp source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -26,22 +27,18 @@ class AllInfeasible(ValueError):
     """No candidate demo produced a feasible match for the observation."""
 
 
-class Match(NamedTuple):
-    pixel: np.ndarray      # (2,) subpixel match in the target view
-    confidence: float      # in [0, 1]
-
-
 class MatcherInterface(Protocol):
     """Semantic correspondence backend.
 
     Given a query pixel in `query_view` of the source snapshot, return the
-    corresponding pixel in `target_view` of the target snapshot, or None when
-    no match is found. Implementations must be deterministic for a fixed
-    seed and must support same-scene cross-view queries (source is target).
+    corresponding (2,) subpixel array in `target_view` of the target
+    snapshot, or None when no match is found. Implementations must be
+    deterministic for a fixed seed and must support same-scene cross-view
+    queries (source is target).
     """
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
-              query_pixel, query_view: str, target_view: str) -> Optional[Match]:
+              query_pixel, query_view: str, target_view: str) -> Optional[np.ndarray]:
         ...
 
 
@@ -52,8 +49,8 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("residual_max", "gap_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -75,10 +72,10 @@ def cross_view_distance(matcher: MatcherInterface, snapshot: SceneSnapshot,
     view of the *same* scene and return the distance from the waypoint to the
     ray of that match. A failed match counts as an infinite distance."""
     other = _OTHER_VIEW[view]
-    m = matcher.match(snapshot, snapshot, keypoint, view, other)
-    if m is None:
+    pixel = matcher.match(snapshot, snapshot, keypoint, view, other)
+    if pixel is None:
         return float("inf")
-    ray = ray_through_pixel(snapshot.rig.camera(other), m.pixel)
+    ray = ray_through_pixel(snapshot.rig.camera(other), pixel)
     return point_ray_distance(ray, waypoint)
 
 
@@ -111,12 +108,11 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     for t in range(T):
         matched = {view: matcher.match(demo.snapshot, obs, demo.keypoints[view][t], view, view)
                    for view in ("left", "right")}
-        if None in matched.values():
+        if matched["left"] is None or matched["right"] is None:
             feasible = False
             continue
         try:
-            point, residual = triangulate(obs.rig, matched["left"].pixel,
-                                          matched["right"].pixel)
+            point, residual = triangulate(obs.rig, matched["left"], matched["right"])
         except DegenerateRays:
             feasible = False
             continue
@@ -126,8 +122,7 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
         worst_gap = 0.0
         for view in ("left", "right"):
             d_demo = float(demo_side_distances[view][t])
-            d_obs = cross_view_distance(matcher, obs, matched[view].pixel,
-                                        view, point)
+            d_obs = cross_view_distance(matcher, obs, matched[view], view, point)
             worst_gap = max(worst_gap, abs(d_demo - d_obs))
         gaps[t] = worst_gap
 

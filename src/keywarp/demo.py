@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -269,9 +270,12 @@ class _Probe:
         if isinstance(self.doc, bool) or not isinstance(self.doc, (int, float)):
             self.fail("expected number")
         try:
-            return float(self.doc)
+            value = float(self.doc)
         except OverflowError:   # an integer literal beyond the float64 range
             self.fail("number too large for a float")
+        if not math.isfinite(value):   # NaN, Infinity, or a literal like 1e400
+            self.fail("number must be finite")
+        return value
 
     def integer(self):
         if isinstance(self.doc, bool) or not isinstance(self.doc, int):
@@ -291,7 +295,9 @@ class _Probe:
     def vector(self, n):
         if type(self.doc) is list and len(self.doc) == n and _all_numbers(self.doc):
             try:
-                return list(map(float, self.doc))
+                values = list(map(float, self.doc))
+                if all(map(math.isfinite, values)):
+                    return values
             except OverflowError:
                 pass   # named below
         items = self.array()

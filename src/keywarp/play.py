@@ -13,6 +13,7 @@ cadence, and can resume to a bit-identical final state.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import urllib.error
@@ -174,12 +175,12 @@ def verify_by_correspondence(matcher: MatcherInterface, demo: DemoSummary,
     distances = {}
     passed = True
     for view in ("left", "right"):
-        m = matcher.match(demo_final, final_obs, demo.keypoints[view][t], view, view)
-        if m is None:
+        pixel = matcher.match(demo_final, final_obs, demo.keypoints[view][t], view, view)
+        if pixel is None:
             distances[view] = None
             passed = False
             continue
-        ray = ray_through_pixel(final_obs.rig.camera(view), m.pixel)
+        ray = ray_through_pixel(final_obs.rig.camera(view), pixel)
         d = point_ray_distance(ray, executed_gripper)
         distances[view] = float(d)
         if d > threshold:
@@ -217,6 +218,9 @@ class SessionConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        for name, value in vars(self).items():   # the fields, before those derived below
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
         for name in ("c", "settle_jitter", "explore_sigma"):
@@ -333,7 +337,7 @@ class PlaySession:
         self.matcher = CorrespondenceOracle(cfg.oracle)
         self.library.register_with(self.matcher)
         tasks = [t for t in builtin_tasks() if t.id in self.library.by_task]
-        outside = sorted(set(self.library.task_ids) - {t.id for t in tasks})
+        outside = sorted(set(self.library.by_task) - {t.id for t in tasks})
         if outside:
             raise ConfigError(f"demo library at {cfg.demo_library} has tasks that are "
                               f"not built in: {outside}")
@@ -352,7 +356,7 @@ class PlaySession:
         self.interventions = []
         self.arms = {t: {d: ArmStats() for d in demos}
                      for t, demos in self.library.by_task.items()}
-        self.success_counts = dict.fromkeys(self.library.task_ids, 0)
+        self.success_counts = dict.fromkeys(self.library.by_task, 0)
         (self.out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     @classmethod
@@ -429,9 +433,7 @@ class PlaySession:
             return record
         record["attempted_task"] = task_id
 
-        arms = self.arms[task_id]
-        total = sum(a.pulls for a in arms.values())
-        candidates = select_top_k(arms, total, self.cfg.k, self.cfg.c)
+        candidates = select_top_k(self.arms[task_id], self.cfg.k, self.cfg.c)
         record["candidates"] = candidates
         outcomes = [match_demo(self.matcher, self.library.demos[d], obs,
                                self.cfg.filters,
@@ -458,7 +460,7 @@ class PlaySession:
         record["target_waypoints"] = targets.tolist()
 
         plan = warp_trajectory(demo, targets)
-        trace = execute_plan(self.world, plan)
+        trace = execute_plan(self.world, plan.trajectory)
         record["executed"] = True
         record["events"] = trace.events
         record["out_of_bounds"] = trace.out_of_bounds
@@ -557,13 +559,11 @@ RECORD_TYPES = {"iteration": (int,), "success": (bool,), "executed": (bool,),
 def _match_summary(outcome) -> dict:
     def _finite(x):
         return float(x) if np.isfinite(x) else None
-    residuals = outcome.triangulation_residuals
-    gaps = outcome.cross_view_gaps
     return {"demo_id": outcome.demo_id,
             "feasible": bool(outcome.feasible),
             "score": _finite(outcome.score),
-            "worst_residual": _finite(np.max(residuals)) if len(residuals) else None,
-            "worst_gap": _finite(np.max(gaps)) if len(gaps) else None}
+            "worst_residual": _finite(np.max(outcome.triangulation_residuals)),
+            "worst_gap": _finite(np.max(outcome.cross_view_gaps))}
 
 
 def run_session(cfg: SessionConfig) -> PlaySession:
@@ -598,7 +598,7 @@ def export_success_dataset(session_dir, out_dir) -> dict:
     log, records = _logged_records(session_dir, iteration, state)
     out_dir = Path(out_dir)
     (out_dir / "episodes").mkdir(parents=True, exist_ok=True)
-    episodes = {t: [] for t in library.task_ids}
+    episodes = {t: [] for t in library.by_task}
     for r in (r for r in records if r["success"]):
         entry = {"iteration": r["iteration"], "source_demo_id": r["selected_demo"]}
         with _record_of_library(log, r):

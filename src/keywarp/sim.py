@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .correspondence import Match, demo_cross_view_distances
+from .correspondence import demo_cross_view_distances
 from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   _Probe, read_json_with_bytes, rig_from_probe, rig_to_dict,
+                   Trajectory, _Probe, read_json_with_bytes, rig_from_probe, rig_to_dict,
                    scene_from_probe, scene_to_dict, summarize_demo,
                    summary_from_probe, trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
@@ -177,7 +177,6 @@ def default_layout() -> Layout:
 class WorldParams:
     grasp_radius: float = 0.03
     p_tip: float = 0.05
-    tip_drop_height: float = 0.05
     settle_jitter: float = 0.0      # m, xy scatter when an object settles
 
 
@@ -244,7 +243,7 @@ class SimWorld:
 MIN_SEPARATION = 0.12   # m, least distance between two placed objects
 
 
-def _place_objects(layout: Layout, rng, slots, region_scale, min_separation) -> dict:
+def _place_objects(layout: Layout, rng, slots, region_scale) -> dict:
     slots = dict(slots or {})
     objects = {}
     ordered = sorted(layout.objects, key=lambda s: not s.is_container)
@@ -255,7 +254,7 @@ def _place_objects(layout: Layout, rng, slots, region_scale, min_separation) -> 
             placed = None
             for _ in range(500):
                 xy = region.sample_xy(rng, scale=region_scale)
-                if all(np.linalg.norm(xy - o.position[:2]) >= min_separation
+                if all(np.linalg.norm(xy - o.position[:2]) >= MIN_SEPARATION
                        for o in objects.values()):
                     placed = np.array([xy[0], xy[1], region.z])
                     break
@@ -277,8 +276,7 @@ def _place_objects(layout: Layout, rng, slots, region_scale, min_separation) -> 
 
 
 def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
-                region_scale: float = 1.0,
-                min_separation: float = MIN_SEPARATION) -> SimWorld:
+                region_scale: float = 1.0) -> SimWorld:
     """Place every object uniformly at random inside its slot region.
 
     `slots` maps object id to its starting slot (defaults to the table);
@@ -287,14 +285,14 @@ def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
     """
     rng = np.random.default_rng(seed)
     params = params or WorldParams()
-    objects = _place_objects(layout, rng, slots, region_scale, min_separation)
+    objects = _place_objects(layout, rng, slots, region_scale)
     return SimWorld(layout, params, rng, objects)
 
 
 def randomize_world(world: SimWorld):
     """Intervention reset: re-place every object upright on the table with the
     world's own RNG, and home the gripper."""
-    world.objects = _place_objects(world.layout, world.rng, None, 1.0, MIN_SEPARATION)
+    world.objects = _place_objects(world.layout, world.rng, None, 1.0)
     world.home_gripper()
 
 
@@ -307,7 +305,7 @@ def snapshot(world: SimWorld) -> SceneSnapshot:
         anchors=world.layout.anchors())
 
 
-def _support_below(world: SimWorld, xy, exclude=None):
+def _support_below(world: SimWorld, xy, exclude):
     """Highest support under an xy location: bowl interior > shelf > table."""
     for spec in world.layout.objects:
         if not spec.is_container or spec.id == exclude:
@@ -325,6 +323,7 @@ def _support_below(world: SimWorld, xy, exclude=None):
 
 
 RESTING_TOLERANCE = 0.04   # m, height band within which an object rests on a support
+TIP_DROP_HEIGHT = 0.05     # m, a release from higher than this may tip the object
 
 
 def _inside(spec: ObjectSpec, container, point) -> bool:
@@ -364,12 +363,12 @@ def symbolic_state(world: SimWorld) -> SymbolicState:
 @dataclass
 class ExecutionTrace:
     positions: np.ndarray       # executed (clipped) gripper positions
-    events: list = field(default_factory=list)
-    out_of_bounds: int = 0
+    events: list
+    out_of_bounds: int
 
 
-def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
-    """Teleport the gripper along the plan, mutating the world.
+def execute_plan(world: SimWorld, traj: Trajectory) -> ExecutionTrace:
+    """Teleport the gripper along the trajectory, mutating the world.
 
     Grasping happens at close transitions (nearest object within the world's
     grasp_radius of the gripper's grasp point, or a logged miss), releasing
@@ -378,7 +377,6 @@ def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
     transitions nothing but the carried objects moves, so they are placed
     only at transition frames and at the last frame.
     """
-    traj = getattr(plan, "trajectory", plan)
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     executed = np.clip(P, np.array(world.layout.workspace_min),
                        np.array(world.layout.workspace_max))
@@ -399,7 +397,7 @@ def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
                 world.objects[rider].position = held.position + off
         if i in toggles:
             if G[i] == 1:
-                _close_gripper(world, p, world.params.grasp_radius, events, i)
+                _close_gripper(world, p, events, i)
             else:
                 _open_gripper(world, events, i)
     world.gripper_position = executed[last].copy()
@@ -408,7 +406,7 @@ def execute_plan(world: SimWorld, plan) -> ExecutionTrace:
     return ExecutionTrace(positions=executed, events=events, out_of_bounds=oob)
 
 
-def _close_gripper(world, at, radius, events, step):
+def _close_gripper(world, at, events, step):
     best, best_d = None, float("inf")
     for spec in world.layout.objects:
         state = world.objects.get(spec.id)
@@ -417,7 +415,7 @@ def _close_gripper(world, at, radius, events, step):
         d = float(np.linalg.norm(at - (state.position + np.asarray(spec.grasp_offset))))
         if d < best_d:
             best, best_d = spec.id, d
-    if best is None or best_d > radius:
+    if best is None or best_d > world.params.grasp_radius:
         events.append({"kind": "grasp_miss", "step": step,
                        "nearest": best, "distance": best_d})
         return
@@ -445,10 +443,10 @@ def _open_gripper(world, events, step):
     xy = state.position[:2].copy()
     if world.params.settle_jitter > 0:
         xy = xy + world.rng.normal(0.0, world.params.settle_jitter, 2)
-    slot, support = _support_below(world, xy, exclude=obj_id)
+    slot, support = _support_below(world, xy, obj_id)
     drop = state.position[2] - support
     tipped = False
-    if drop > world.params.tip_drop_height and world.params.p_tip > 0:
+    if drop > TIP_DROP_HEIGHT and world.params.p_tip > 0:
         tipped = bool(world.rng.random() < world.params.p_tip)
     state.position = np.array([xy[0], xy[1], support])
     if tipped:
@@ -471,8 +469,8 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_noise_sigma < 0:
-            raise ConfigError("pixel_noise_sigma must be non-negative")
+        if not 0.0 <= self.pixel_noise_sigma < math.inf:
+            raise ConfigError("pixel_noise_sigma must be non-negative and finite")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise ConfigError("outlier_rate must be a probability")
 
@@ -486,9 +484,9 @@ class CorrespondenceOracle:
     true match is the projection of anchor-position-in-target plus offset
     into the requested view, optionally corrupted: with probability
     outlier_rate the match is replaced by a uniform random in-image pixel
-    (confidence 0.1), otherwise isotropic Gaussian pixel noise is added
-    (confidence 0.9). Corruption is a pure function of (seed, query), so
-    repeated queries are deterministic.
+    and otherwise isotropic Gaussian pixel noise is added. `match` returns
+    the (2,) pixel array, or None. Corruption is a pure function of (seed,
+    query), so repeated queries are deterministic.
 
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
@@ -512,7 +510,7 @@ class CorrespondenceOracle:
         # map(float, ...) keeps the caller's float objects (a loaded
         # library's annotations) instead of allocating copies
         pixel = tuple(map(float, pixel))
-        offset = None if offset is None else tuple(map(float, offset))
+        offset = tuple(map(float, offset))
         self._annotations.setdefault((state_id, view, pixel), (anchor, offset))
 
     def _memoize(self, state_id, view, pixel, anchor, offset):
@@ -562,11 +560,11 @@ class CorrespondenceOracle:
                 junk = np.array([rng.uniform(0.0, k.width),
                                  rng.uniform(0.0, k.height)])
                 self._memoize(target.state_id, target_view, junk, None, None)
-                return Match(pixel=junk, confidence=0.1)
+                return junk
             if cfg.pixel_noise_sigma > 0.0:
                 pixel = pixel + rng.normal(0.0, cfg.pixel_noise_sigma, 2)
         self._memoize(target.state_id, target_view, pixel, anchor, offset)
-        return Match(pixel=pixel, confidence=0.9)
+        return pixel
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +603,14 @@ def _trapezoid_leg(p0, p1, v_max, accel, rate):
     return p0 + s[:, None] * direction
 
 
-def scripted_pick_place(layout: Layout, world: SimWorld, task: TaskSpec,
-                        rng) -> tuple:
+def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
     """Expert trajectory for one pick-place task in the given world.
 
-    Returns (trajectory, grasp_point, release_point, dest_anchor,
-    dest_anchor_position). The release target is sampled over the full
-    destination region (away from its edges) so independently scripted
-    demos spread their placements.
+    Returns (trajectory, release_point, dest_anchor, dest_anchor_position).
+    The release target is sampled over the full destination region (away
+    from its edges) so independently scripted demos spread their placements.
     """
+    layout = world.layout
     spec = layout.object_spec(task.obj)
     grasp_offset = np.asarray(spec.grasp_offset)
     gp = world.objects[task.obj].position + grasp_offset
@@ -673,7 +670,7 @@ def scripted_pick_place(layout: Layout, world: SimWorld, task: TaskSpec,
                     (len(points), 1))
     traj = trajectory_from_parts(positions, quats, np.array(bits, dtype=float),
                                  layout.control_rate)
-    return traj, gp, rp, anchor, anchor_pos
+    return traj, rp, anchor, anchor_pos
 
 
 def _demo_slots(task: TaskSpec, layout: Layout) -> dict:
@@ -709,8 +706,7 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
             raise PreconditionUnsatisfiable(
                 f"cannot stage task {task.id!r} (state {state.to_dict()})")
         rng = np.random.default_rng(demo_seed + 1)
-        traj, gp, rp, anchor, anchor_pos = scripted_pick_place(
-            layout, world, task, rng)
+        traj, rp, anchor, anchor_pos = scripted_pick_place(world, task, rng)
         demo_id = f"{task.id}-{i:02d}"
         summary = summarize_demo(traj, snapshot(world), task.id, demo_id)
 
@@ -754,9 +750,8 @@ class DemoLibrary:
         if unpaired:
             raise ConfigError(f"demos without a sidecar or sidecars without a demo: {unpaired}")
         self.sidecars = sidecars
-        self.task_ids = sorted({d.task_id for d in demos})
         self.by_task = {t: sorted(d.id for d in demos if d.task_id == t)
-                        for t in self.task_ids}
+                        for t in sorted({d.task_id for d in demos})}
         # annotations: (state_id, view, pixel, anchor, offset), for register_with.
         # A sidecar anchor stands for its waypoint's keypoint in both views.
         self.final_snapshots, self.annotations = {}, []

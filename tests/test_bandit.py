@@ -83,14 +83,29 @@ def test_ucb_monotone_in_pulls_and_total():
 
 def test_top_k_all_unpulled_breaks_ties_by_id():
     arms = {f"d{i}": ArmStats() for i in range(10)}
-    assert select_top_k(arms, 0, 3, 1.0) == ["d0", "d1", "d2"]
+    assert select_top_k(arms, 3, 1.0) == ["d0", "d1", "d2"]
 
 
 def test_top_k_orders_by_index():
-    arms = {"d0": ArmStats(pulls=3, successes=2),    # 1.906 at total 10
-            "d1": ArmStats(pulls=8, successes=1),    # 0.886
-            "d2": ArmStats(pulls=2, successes=2)}    # 2.517
-    assert select_top_k(arms, 10, 2, 1.0) == ["d2", "d0"]
+    arms = {"d0": ArmStats(pulls=3, successes=2),    # 1.974 at the total of 13 pulls
+            "d1": ArmStats(pulls=8, successes=1),    # 0.926
+            "d2": ArmStats(pulls=2, successes=2)}    # 2.602
+    assert select_top_k(arms, 2, 1.0) == ["d2", "d0"]
+
+
+def test_top_k_ranks_at_the_arms_summed_pulls():
+    """The index is taken at the total of the arms' pulls, with ties broken
+    toward the lowest id, on random arms."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        arms = {}
+        for i in range(int(rng.integers(1, 8))):
+            pulls = int(rng.integers(0, 6))
+            arms[f"d{i}"] = ArmStats(pulls=pulls, successes=int(rng.integers(0, pulls + 1)))
+        k, c = int(rng.integers(1, 5)), float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        total = sum(a.pulls for a in arms.values())
+        expected = sorted(arms, key=lambda d: (-ucb_index(arms[d], total, c), d))[:k]
+        assert select_top_k(arms, k, c) == expected
 
 
 def test_update_stats_examples():
@@ -134,8 +149,7 @@ def simulate_bandit(p, rounds, c, seed, uniform=False):
         if uniform:
             choice = ids[rng.integers(0, len(ids))]
         else:
-            choice = select_top_k(arms, sum(a.pulls for a in arms.values()),
-                                  1, c)[0]
+            choice = select_top_k(arms, 1, c)[0]
         i = ids.index(choice)
         update_stats(arms, choice, int(rng.random() < p[i]))
         regret += best - p[i]

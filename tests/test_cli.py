@@ -525,7 +525,7 @@ def test_export_rewarps_the_logged_successes(cli_session, cli_library, tmp_path)
     records = {r["iteration"]: r for r in read_session_log(cli_session / "session_log.jsonl")}
     assert manifest["episodes"]
     assert [e["iteration"] for e in manifest["episodes"]] == [
-        r["iteration"] for t in library.task_ids for r in records.values()
+        r["iteration"] for t in library.by_task for r in records.values()
         if r["success"] and r["attempted_task"] == t]
     for entry in manifest["episodes"]:
         record = records[entry["iteration"]]

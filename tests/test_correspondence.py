@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_oracle
-from keywarp.correspondence import (AllInfeasible, FilterConfig, Match,
-                                    MatchOutcome, cross_view_distance,
-                                    demo_cross_view_distances, match_demo,
-                                    select_source_demo)
+from keywarp.correspondence import (AllInfeasible, FilterConfig, MatchOutcome,
+                                    cross_view_distance, demo_cross_view_distances,
+                                    match_demo, select_source_demo)
 from keywarp.demo import ObjectState, SceneSnapshot
 
 
@@ -28,12 +27,11 @@ class _PerturbLeftPrimary:
         self.dv = dv
 
     def match(self, source, target, query_pixel, query_view, target_view):
-        m = self.inner.match(source, target, query_pixel, query_view, target_view)
-        if (m is not None and query_view == "left" and target_view == "left"
+        pixel = self.inner.match(source, target, query_pixel, query_view, target_view)
+        if (pixel is not None and query_view == "left" and target_view == "left"
                 and source.state_id != target.state_id):
-            return Match(pixel=m.pixel + np.array([0.0, self.dv]),
-                         confidence=m.confidence)
-        return m
+            return pixel + np.array([0.0, self.dv])
+        return pixel
 
 
 class _PerturbObsCrossView:
@@ -45,12 +43,11 @@ class _PerturbObsCrossView:
         self.demo_state_ids = demo_state_ids
 
     def match(self, source, target, query_pixel, query_view, target_view):
-        m = self.inner.match(source, target, query_pixel, query_view, target_view)
-        if (m is not None and source.state_id == target.state_id
+        pixel = self.inner.match(source, target, query_pixel, query_view, target_view)
+        if (pixel is not None and source.state_id == target.state_id
                 and source.state_id not in self.demo_state_ids):
-            return Match(pixel=m.pixel + np.array([0.0, self.dv]),
-                         confidence=m.confidence)
-        return m
+            return pixel + np.array([0.0, self.dv])
+        return pixel
 
 
 class _NoMatchLeft:
@@ -166,24 +163,26 @@ def test_feasibility_monotone_in_thresholds(library):
 
 
 def test_outlier_contamination_is_rejected(library):
-    """Contaminated demos (any query returned an outlier) get filtered."""
+    """Contaminated demos (any query returned an outlier) get filtered. A
+    reply is an outlier when a noiseless twin oracle, given the same calls,
+    replies otherwise."""
 
     class _Recorder:
-        def __init__(self, inner):
-            self.inner = inner
+        def __init__(self, inner, twin):
+            self.inner, self.twin = inner, twin
             self.saw_outlier = False
 
         def match(self, *args):
-            m = self.inner.match(*args)
-            if m is not None and m.confidence <= 0.1:
+            pixel, clean = self.inner.match(*args), self.twin.match(*args)
+            if pixel is not None and (clean is None or not np.array_equal(pixel, clean)):
                 self.saw_outlier = True
-            return m
+            return pixel
 
     contaminated = rejected_contaminated = 0
     demos = list(library.demos.values())
     for trial in range(200):
         oracle = make_oracle(library, outlier_rate=0.05, seed=1000 + trial)
-        recorder = _Recorder(oracle)
+        recorder = _Recorder(oracle, make_oracle(library))
         demo = demos[trial % len(demos)]
         outcome = match_demo(recorder, demo, demo.snapshot, FilterConfig(),
                              library.demo_side_distances[demo.id])

@@ -3,7 +3,9 @@ names (`--config`, `--layout`, a library's index, summaries and sidecars), 4
 for a session artifact (checkpoint, session state, session log). Each
 file is damaged three ways (missing, not JSON, a required key deleted) and
 the message must name it; a config, a summary, a sidecar and a checkpoint
-also get a number too large for a float."""
+also get a number too large for a float, and a config, a layout and a
+checkpoint a number that is not finite. A non-finite flag exits 2 naming its
+field."""
 
 import json
 import shutil
@@ -152,6 +154,18 @@ def _number_too_large(*keys):
     return damage
 
 
+def _non_finite(literal, *keys):
+    """Set the value at `keys` to a JSON literal Python reads as NaN or inf."""
+    def damage(path, _):
+        doc = target = json.loads(path.read_text())
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = "<non-finite>"
+        path.write_text(json.dumps(doc).replace('"<non-finite>"', literal))
+    damage.__name__ = f"{literal}_{keys[-1]}"
+    return damage
+
+
 CASES = [(name, damage) for name in FILES
          for damage in (_missing, _not_json, _key_deleted)]
 CASES.append(("checkpoint", _checkpoint_layout_without_keys))
@@ -160,6 +174,11 @@ CASES += [("config", _number_too_large("pixel_noise_sigma")),
           ("summary", _number_too_large("actions", 3, 2)),
           ("sidecar", _number_too_large("final", "offset", 1)),
           ("checkpoint", _number_too_large("world", "gripper", "position", 0))]
+CASES += [("config", _non_finite("1e400", "pixel_noise_sigma")),
+          ("config", _non_finite("1e400", "explore_sigma")),
+          ("layout", _non_finite("NaN", "table", "z")),
+          ("checkpoint", _non_finite("NaN", "config", "c")),
+          ("checkpoint", _non_finite("Infinity", "world", "gripper", "position", 0))]
 
 
 def _exit_code(argv):
@@ -181,3 +200,15 @@ def test_damaged_file_exits_with_its_roles_code_naming_it(lib, session, tmp_path
     assert got != 1
     assert got == code
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["play", "--sigma", "nan"], "pixel_noise_sigma"),
+    (["warp", "--task", "pineapple_table_to_shelf", "--sigma", "nan"], "pixel_noise_sigma"),
+    (["warp", "--task", "pineapple_table_to_shelf", "--residual-max", "inf"], "residual_max"),
+], ids=["play-sigma-nan", "warp-sigma-nan", "warp-residual-max-inf"])
+def test_non_finite_flag_exits_2_naming_its_field(lib, tmp_path, capsys, argv, field):
+    out = tmp_path / "o"
+    assert _exit_code(argv + ["--demos", str(lib), "--out", str(out)]) == INPUT
+    assert field in capsys.readouterr().err
+    assert not out.exists()

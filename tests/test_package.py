@@ -1,5 +1,6 @@
 """Guards on what the package ships: numpy is its only third-party import,
-and every public function or class has a caller outside the tests."""
+every public function or class has a caller outside the tests, and every
+record field has a reader there."""
 
 import ast
 import json
@@ -54,3 +55,28 @@ def test_every_public_definition_has_a_caller():
     uncalled = [qualified for qualified, name in definitions
                 if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert uncalled == []
+
+
+def _is_record(node) -> bool:
+    """A dataclass (bare or called decorator) or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names = [n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+             for n in decorators + node.bases]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def test_every_record_field_has_a_reader():
+    """An annotated field of a dataclass or NamedTuple in `src/keywarp` is
+    read as an attribute (`x.field`) by the package or by an example in
+    docs/examples."""
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    read = {node.attr for path in modules + sorted((ROOT / "docs" / "examples").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{node.name}.{item.target.id}"
+              for path in modules for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == []

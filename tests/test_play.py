@@ -177,7 +177,7 @@ def test_verification_detects_dropped_object(library, clean_oracle, layout):
     targets = demo.waypoints.copy()
     targets[0] += np.array([0.08, 0.0, 0.0])
     plan = warp_trajectory(demo, targets)
-    trace = execute_plan(world, plan)
+    trace = execute_plan(world, plan.trajectory)
     assert not any(e["kind"] == "grasp" for e in trace.events)
     final_obs = snapshot(world)
     boundary = int(plan.segment_boundaries[-1])

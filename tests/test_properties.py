@@ -122,9 +122,8 @@ def test_triangulate_inverts_projection(angle, spread, r_left, r_right,
 # ---------------------------------------------------------------------------
 # execute_plan
 
-def execute_per_step(world, plan):
+def execute_per_step(world, traj):
     """Reference: advance the world one action at a time."""
-    traj = getattr(plan, "trajectory", plan)
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     lo = np.array(world.layout.workspace_min)
     hi = np.array(world.layout.workspace_max)
@@ -147,7 +146,7 @@ def execute_per_step(world, plan):
         toggled = (g != int(G[i - 1])) if i > 0 else (g == 1 and not world.gripper_closed)
         if toggled:
             if g == 1:
-                _close_gripper(world, p, world.params.grasp_radius, events, i)
+                _close_gripper(world, p, events, i)
             else:
                 _open_gripper(world, events, i)
         world.gripper_closed = bool(g)
@@ -178,7 +177,7 @@ def test_execute_plan_equals_per_step_loop(seed, plan_steps, start, in_bowl):
     if start != "open":
         world.gripper_closed = True
     if start == "holding":   # the bowl already grasped, with any rider
-        _close_gripper(world, grasp_point(world, "bowl"), 0.03, [], 0)
+        _close_gripper(world, grasp_point(world, "bowl"), [], 0)
     positions = []
     for aim, free, jitter, _ in plan_steps:
         base = np.array(free) if aim == "free" else grasp_point(world, aim)

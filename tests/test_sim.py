@@ -61,7 +61,7 @@ def test_spawn_overlap_exhaustion_raises(layout):
     tiny = dataclasses.replace(layout,
                                table=SlotRegion(0.40, 0.44, -0.02, 0.02, 0.0))
     with pytest.raises(ConfigError):
-        spawn_world(tiny, seed=0, min_separation=0.5)
+        spawn_world(tiny, seed=0)
 
 
 def test_spawn_positions_uniform_chi2(layout):
@@ -130,10 +130,10 @@ def test_snapshot_matches_like_the_stored_demo(layout):
 def test_oracle_identity_match_is_exact(library, clean_oracle):
     demo = next(iter(library.demos.values()))
     for view in ("left", "right"):
-        m = clean_oracle.match(demo.snapshot, demo.snapshot,
-                               demo.keypoints[view][0], view, view)
-        assert np.array_equal(m.pixel, demo.keypoints[view][0])
-        assert m.confidence == pytest.approx(0.9)
+        pixel = clean_oracle.match(demo.snapshot, demo.snapshot,
+                                   demo.keypoints[view][0], view, view)
+        assert pixel.shape == (2,)
+        assert np.array_equal(pixel, demo.keypoints[view][0])
 
 
 def test_oracle_translated_object_matches_projection(library, clean_oracle, layout):
@@ -146,10 +146,10 @@ def test_oracle_translated_object_matches_projection(library, clean_oracle, layo
     grasp_offset = np.asarray(layout.object_spec("pineapple").grasp_offset)
     expected_point = world.objects["pineapple"].position + grasp_offset
     for view in ("left", "right"):
-        m = clean_oracle.match(demo.snapshot, target,
-                               demo.keypoints[view][0], view, view)
-        assert np.allclose(m.pixel, project(layout.rig.camera(view),
-                                            expected_point), atol=1e-9)
+        pixel = clean_oracle.match(demo.snapshot, target,
+                                   demo.keypoints[view][0], view, view)
+        assert np.allclose(pixel, project(layout.rig.camera(view),
+                                          expected_point), atol=1e-9)
     outcome = match_demo(clean_oracle, demo, target, FilterConfig(),
                          library.demo_side_distances[demo.id])
     assert np.max(np.abs(outcome.target_waypoints[0]
@@ -161,9 +161,8 @@ def test_oracle_no_match_when_object_removed(library, clean_oracle, layout):
     scene = demo.snapshot
     stripped = SceneSnapshot(rig=scene.rig, anchors=scene.anchors, objects={
         k: v for k, v in scene.objects.items() if k != "pineapple"})
-    m = clean_oracle.match(demo.snapshot, stripped,
-                           demo.keypoints["left"][0], "left", "left")
-    assert m is None
+    assert clean_oracle.match(demo.snapshot, stripped,
+                              demo.keypoints["left"][0], "left", "left") is None
 
 
 def test_oracle_full_outlier_rate_rejects(library):
@@ -180,14 +179,16 @@ def test_oracle_full_outlier_rate_rejects(library):
     assert rejected / trials >= 0.95
 
 
-def test_oracle_outlier_confidence_flags(library):
+def test_oracle_outlier_is_a_junk_in_image_pixel(library, clean_oracle):
+    """An outlier replaces the true match by another pixel in the image."""
     oracle = make_oracle(library, outlier_rate=1.0, seed=0)
     demo = next(iter(library.demos.values()))
-    m = oracle.match(demo.snapshot, demo.snapshot,
-                     demo.keypoints["left"][0], "left", "left")
-    assert m.confidence == pytest.approx(0.1)
+    query = (demo.snapshot, demo.snapshot, demo.keypoints["left"][0], "left", "left")
+    pixel = oracle.match(*query)
+    assert pixel.shape == (2,)
+    assert not np.array_equal(pixel, clean_oracle.match(*query))
     k = demo.snapshot.rig.left.intrinsics
-    assert 0 <= m.pixel[0] <= k.width and 0 <= m.pixel[1] <= k.height
+    assert 0 <= pixel[0] <= k.width and 0 <= pixel[1] <= k.height
 
 
 def _anchor_scene(rig, **anchors):
@@ -200,8 +201,8 @@ def test_oracle_duplicate_pixel_resolves_to_first_registration(layout):
     for anchor in ("a", "b"):
         oracle.register_annotation(scene.state_id, "left", [10.0, 20.0],
                                    anchor, [0.0, 0.0, 0.0])
-    m = oracle.match(scene, scene, np.array([10.0, 20.0]), "left", "right")
-    assert np.array_equal(m.pixel, project(layout.rig.right, [0.3, 0.0, 0.0]))
+    pixel = oracle.match(scene, scene, np.array([10.0, 20.0]), "left", "right")
+    assert np.array_equal(pixel, project(layout.rig.right, [0.3, 0.0, 0.0]))
 
 
 def test_oracle_lookup_is_exact(layout):
@@ -242,12 +243,11 @@ def test_oracle_deterministic_per_query(library):
                          demo.keypoints[view][t], view, view)
             mb = b.match(demo.snapshot, demo.snapshot,
                          demo.keypoints[view][t], view, view)
-            assert np.array_equal(ma.pixel, mb.pixel)
-            assert ma.confidence == mb.confidence
+            assert np.array_equal(ma, mb)
             # repeated query on the same instance too
             mc = a.match(demo.snapshot, demo.snapshot,
                          demo.keypoints[view][t], view, view)
-            assert np.array_equal(ma.pixel, mc.pixel)
+            assert np.array_equal(ma, mc)
 
 
 def test_execute_grasps_and_places(layout, library, clean_oracle):
@@ -257,7 +257,7 @@ def test_execute_grasps_and_places(layout, library, clean_oracle):
     outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
                          library.demo_side_distances[demo.id])
     plan = warp_trajectory(demo, outcome.target_waypoints)
-    trace = execute_plan(world, plan)
+    trace = execute_plan(world, plan.trajectory)
     assert any(e["kind"] == "grasp" for e in trace.events)
     assert symbolic_state(world).slot_of("pineapple") == SHELF
     assert trace.out_of_bounds == 0
@@ -372,7 +372,7 @@ def test_settling_deterministic_per_seed(layout, library, clean_oracle):
         outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
                              library.demo_side_distances[demo.id])
         plan = warp_trajectory(demo, outcome.target_waypoints)
-        trace = execute_plan(world, plan)
+        trace = execute_plan(world, plan.trajectory)
         return trace, {k: v.position.copy() for k, v in world.objects.items()}
 
     t1, w1 = run(23)
