@@ -9,7 +9,7 @@ grounded end to end in a kinematic tabletop simulator.
 """
 
 from .bandit import ArmStats, UnknownDemo, sample_target_task, select_top_k, softmax_probabilities, ucb_index, update_stats
-from .correspondence import AllInfeasible, FilterConfig, MatchOutcome, MatcherInterface, cross_view_distance, demo_cross_view_distances, match_demo, select_source_demo
+from .correspondence import AllInfeasible, FilterConfig, MatchOutcome, MatcherInterface, cross_view_distance, demo_cross_view_distances, match_demo, match_pixel, select_source_demo
 from .demo import (ConfigError, DemoSummary, NoWaypoints, ObjectState,
                    SceneSnapshot, SchemaError, Trajectory,
                    decode_summary, encode_summary, extract_waypoints,

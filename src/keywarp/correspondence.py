@@ -32,9 +32,10 @@ class MatcherInterface(Protocol):
 
     Given a query pixel in `query_view` of the source snapshot, return the
     corresponding (2,) subpixel array in `target_view` of the target
-    snapshot, or None when no match is found. Implementations must be
-    deterministic for a fixed seed and must support same-scene cross-view
-    queries (source is target).
+    snapshot, or None when no match is found. A reply that is not a finite
+    (2,) pixel (NaN, an infinity, another shape) counts as a failed match,
+    the same as None. Implementations must be deterministic for a fixed
+    seed and must support same-scene cross-view queries (source is target).
     """
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
@@ -66,15 +67,32 @@ class MatchOutcome:
 _OTHER_VIEW = {"left": "right", "right": "left"}
 
 
+def match_pixel(matcher: MatcherInterface, source: SceneSnapshot, target: SceneSnapshot,
+                query_pixel, query_view: str, target_view: str) -> Optional[np.ndarray]:
+    """The matcher's reply to one query as a finite (2,) float pixel, or
+    None for a failed match: None itself, or any reply that is not such a
+    pixel (NaN, an infinity, another shape or type)."""
+    reply = matcher.match(source, target, query_pixel, query_view, target_view)
+    if reply is None:
+        return None
+    try:
+        pixel = np.asarray(reply, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if pixel.shape != (2,) or not all(map(math.isfinite, pixel.tolist())):
+        return None
+    return pixel
+
+
 def cross_view_distance(matcher: MatcherInterface, snapshot: SceneSnapshot,
                         keypoint, view: str, waypoint) -> float:
     """One side of the consistency check: match a keypoint into the other
     view of the *same* scene and return the distance from the waypoint to the
     ray of that match. A failed match counts as an infinite distance."""
     other = _OTHER_VIEW[view]
-    pixel = matcher.match(snapshot, snapshot, keypoint, view, other)
+    pixel = match_pixel(matcher, snapshot, snapshot, keypoint, view, other)
     if pixel is None:
-        return float("inf")
+        return math.inf
     ray = ray_through_pixel(snapshot.rig.camera(other), pixel)
     return point_ray_distance(ray, waypoint)
 
@@ -93,7 +111,9 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     """Match every demo keypoint into the observation and run both filters.
 
     Failures never raise; they are encoded as an infeasible outcome with
-    score +inf. The score is computed only for feasible outcomes.
+    score +inf. The score is computed only for feasible outcomes. A residual
+    or a gap passes its gate only when it is at most the gate's bound, so a
+    NaN fails it; a gap is infinite when either side is not finite.
 
     `demo_side_distances` is the demo half of the cross-view check as
     {view: (T,) distances}. The demo never changes, so a library computes it
@@ -106,7 +126,8 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     feasible = True
 
     for t in range(T):
-        matched = {view: matcher.match(demo.snapshot, obs, demo.keypoints[view][t], view, view)
+        matched = {view: match_pixel(matcher, demo.snapshot, obs, demo.keypoints[view][t],
+                                     view, view)
                    for view in ("left", "right")}
         if matched["left"] is None or matched["right"] is None:
             feasible = False
@@ -123,13 +144,18 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
         for view in ("left", "right"):
             d_demo = float(demo_side_distances[view][t])
             d_obs = cross_view_distance(matcher, obs, matched[view], view, point)
-            worst_gap = max(worst_gap, abs(d_demo - d_obs))
+            # a side that is not finite (a failed match) makes the gap infinite;
+            # inf - inf would be NaN, which max drops
+            gap = (abs(d_demo - d_obs) if math.isfinite(d_demo) and math.isfinite(d_obs)
+                   else math.inf)
+            worst_gap = max(worst_gap, gap)
         gaps[t] = worst_gap
 
-        if residual > cfg.residual_max or worst_gap > cfg.gap_max:
+        if not (residual <= cfg.residual_max and worst_gap <= cfg.gap_max):
             feasible = False
 
-    score = float(np.linalg.norm(demo.waypoints - w_out)) if feasible else float("inf")
+    diff = (demo.waypoints - w_out).ravel()   # the norm of the stacked waypoints
+    score = math.sqrt(diff.dot(diff)) if feasible else math.inf
     return MatchOutcome(demo_id=demo.id, target_waypoints=w_out,
                         triangulation_residuals=residuals,
                         cross_view_gaps=gaps, feasible=feasible, score=score)

@@ -11,12 +11,15 @@ Projection and viewing rays run on Python floats, quaternion rotation
 works per component, and cross products are written out component by
 component in the order np.cross evaluates them (`a1*b2 - a2*b1`, ...).
 No floating-point operation or its order differs from the plain numpy
-formulas, so results are bit-identical to them; norms and dot products
-stay numpy calls for the same reason.
+formulas, so results are bit-identical to them. A dot product stays one
+numpy dot, `a.dot(b)` (BLAS, whose fused multiply-adds a Python
+`x*x + y*y + z*z` would not reproduce), and a norm is `math.sqrt` of one:
+`np.linalg.norm` of a vector computes exactly `math.sqrt(v.dot(v))`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,13 +97,14 @@ def quat_slerp(q0, q1, t):
     t = np.asarray(t, dtype=float)[..., None]
     dot = np.add.reduce(q0 * q1, axis=-1, keepdims=True)
     q1 = np.where(dot < 0, -q1, q1)
-    dot = np.abs(np.clip(dot, -1.0, 1.0))
+    dot = np.abs(np.minimum(np.maximum(dot, -1.0), 1.0))   # np.clip, without its overhead
     theta = np.arccos(dot)
     sin_theta = np.sin(theta)
     near = sin_theta < 1e-9
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w0 = np.where(near, 1.0 - t, np.sin((1.0 - t) * theta) / sin_theta)
-        w1 = np.where(near, t, np.sin(t * theta) / sin_theta)
+    sin_theta = np.where(near, 1.0, sin_theta)   # a divisor where the lerp weights win
+    s = 1.0 - t
+    w0 = np.where(near, s, np.sin(s * theta) / sin_theta)
+    w1 = np.where(near, t, np.sin(t * theta) / sin_theta)
     return quat_normalize(w0 * q0 + w1 * q1)
 
 
@@ -124,7 +128,7 @@ class CameraIntrinsics:
 
 
 def _freeze_vec(obj, name, value, dim):
-    v = np.array(value, dtype=float).reshape(dim)
+    v = np.asarray(value, dtype=float).reshape(dim).copy()   # owns its data: a Ray may keep it
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     v.flags.writeable = False
@@ -172,15 +176,33 @@ class StereoRig:
         raise KeyError(f"unknown view {view!r}")
 
 
+def _is_frozen_vec3(v) -> bool:
+    """Whether `v` is already what `_freeze_vec(..., 3)` makes: a read-only,
+    finite float (3,) array owning its data, such as a camera's position."""
+    return (type(v) is np.ndarray and v.base is None and v.dtype == float
+            and v.shape == (3,) and not v.flags.writeable
+            and all(map(math.isfinite, v.tolist())))
+
+
 @dataclass(frozen=True, eq=False)
 class Ray:
+    """A half-line: a finite origin and a unit direction, both read-only.
+
+    An origin that is already a read-only, finite float (3,) array owning
+    its data (a camera centre) is kept as it is; any other is validated and
+    frozen into a copy. The direction is always divided by its norm into a
+    new array."""
+
     origin: np.ndarray
     direction: np.ndarray   # unit length
 
     def __post_init__(self):
-        _freeze_vec(self, "origin", self.origin, 3)
-        d = np.array(self.direction, dtype=float).reshape(3)
-        n = np.linalg.norm(d)
+        if not _is_frozen_vec3(self.origin):
+            _freeze_vec(self, "origin", self.origin, 3)
+        d = np.asarray(self.direction, dtype=float)
+        if d.shape != (3,):
+            d = d.reshape(3)
+        n = math.sqrt(d.dot(d))
         if n < 1e-12:
             raise ValueError("ray direction must be nonzero")
         d = d / n
@@ -246,19 +268,20 @@ def intersect_rays(a: Ray, b: Ray):
     d1, d2 = a.direction, b.direction
     x1, y1, z1 = d1.tolist()
     x2, y2, z2 = d2.tolist()
-    if np.linalg.norm(np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
-                                x1 * y2 - y1 * x2])) < PARALLEL_TOL:
+    cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    if math.sqrt(cross.dot(cross)) < PARALLEL_TOL:
         raise DegenerateRays("rays are parallel within tolerance")
     w0 = a.origin - b.origin
-    b12 = float(d1 @ d2)
-    d = float(d1 @ w0)
-    e = float(d2 @ w0)
+    b12 = float(d1.dot(d2))
+    d = float(d1.dot(w0))
+    e = float(d2.dot(w0))
     denom = 1.0 - b12 * b12
     t1 = (b12 * e - d) / denom
     t2 = (e - b12 * d) / denom
     p1 = a.origin + t1 * d1
     p2 = b.origin + t2 * d2
-    return 0.5 * (p1 + p2), float(np.linalg.norm(p1 - p2))
+    gap = p1 - p2
+    return 0.5 * (p1 + p2), math.sqrt(gap.dot(gap))
 
 
 def triangulate(rig: StereoRig, left_pixel, right_pixel):
@@ -274,7 +297,8 @@ def point_ray_distance(ray: Ray, point) -> float:
     distance to the origin itself is returned.
     """
     v = np.asarray(point, dtype=float) - ray.origin
-    t = float(v @ ray.direction)
+    t = float(v.dot(ray.direction))
     if t <= 0.0:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(v - t * ray.direction))
+        return math.sqrt(v.dot(v))
+    w = v - t * ray.direction
+    return math.sqrt(w.dot(w))

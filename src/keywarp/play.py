@@ -27,14 +27,15 @@ from typing import Optional, Protocol, get_args, get_type_hints
 import numpy as np
 
 from .bandit import ArmStats, sample_target_task, select_top_k, update_stats
-from .correspondence import AllInfeasible, FilterConfig, MatcherInterface, match_demo, select_source_demo
+from .correspondence import (AllInfeasible, FilterConfig, MatcherInterface, match_demo,
+                             match_pixel, select_source_demo)
 from .demo import ConfigError, DemoSummary, SceneSnapshot, read_json
 from .geometry import point_ray_distance, ray_through_pixel
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig, SimWorld,
                   WorldParams, default_layout, execute_plan, layout_from_dict,
                   randomize_world, snapshot, spawn_world, symbolic_state)
 from .tasks import SymbolicState, TaskSpec, builtin_tasks, task_map
-from .warp import warp_trajectory
+from .warp import warp_basis, warp_trajectory
 
 
 class NoPlan(ValueError):
@@ -84,9 +85,13 @@ def rule_based_plan(state: SymbolicState, target_id: str, tasks) -> list:
 class RuleBasedPlanner:
     def __init__(self, tasks):
         self.tasks = list(tasks)
+        self._plans = {}   # (state, target) -> plan, a pure function of the two
 
     def plan(self, state, target_task):
-        return rule_based_plan(state, target_task, self.tasks)
+        key = (state, target_task)
+        if key not in self._plans:
+            self._plans[key] = rule_based_plan(state, target_task, self.tasks)
+        return list(self._plans[key])
 
 
 class RuleBasedEvaluator:
@@ -169,13 +174,14 @@ def verify_by_correspondence(matcher: MatcherInterface, demo: DemoSummary,
     snapshot, where the keypoint sits on the manipulated object, so the
     match tracks where the object actually ended up.
 
-    Returns (passed, per-view distances); a failed match fails the check.
+    Returns (passed, per-view distances); a failed match, a reply that is
+    not a finite (2,) pixel included, fails the check.
     """
     t = demo.num_waypoints - 1
     distances = {}
     passed = True
     for view in ("left", "right"):
-        pixel = matcher.match(demo_final, final_obs, demo.keypoints[view][t], view, view)
+        pixel = match_pixel(matcher, demo_final, final_obs, demo.keypoints[view][t], view, view)
         if pixel is None:
             distances[view] = None
             passed = False
@@ -183,7 +189,7 @@ def verify_by_correspondence(matcher: MatcherInterface, demo: DemoSummary,
         ray = ray_through_pixel(final_obs.rig.camera(view), pixel)
         d = point_ray_distance(ray, executed_gripper)
         distances[view] = float(d)
-        if d > threshold:
+        if not d <= threshold:
             passed = False
     return passed, distances
 
@@ -334,6 +340,8 @@ class PlaySession:
         given) and registered with the oracle, world spawned, directories made."""
         self.cfg = cfg
         self.library = DemoLibrary.load(cfg.demo_library, library_digest)
+        for demo in self.library.demos.values():   # so that no iteration derives one
+            warp_basis(demo)
         self.matcher = CorrespondenceOracle(cfg.oracle)
         self.library.register_with(self.matcher)
         tasks = [t for t in builtin_tasks() if t.id in self.library.by_task]
@@ -454,7 +462,7 @@ class PlaySession:
 
         targets = outcome.target_waypoints.copy()
         jitter = self.rng.normal(0.0, self.cfg.explore_sigma, targets.shape)
-        closes = demo.actions.gripper[demo.waypoint_indices] == 1
+        closes = demo.actions.actions[demo.waypoint_indices, 7] == 1.0
         jitter[closes] = 0.0          # never perturb a grasp
         targets = targets + jitter
         record["target_waypoints"] = targets.tolist()
@@ -558,12 +566,13 @@ RECORD_TYPES = {"iteration": (int,), "success": (bool,), "executed": (bool,),
 
 def _match_summary(outcome) -> dict:
     def _finite(x):
-        return float(x) if np.isfinite(x) else None
+        x = float(x)
+        return x if math.isfinite(x) else None
     return {"demo_id": outcome.demo_id,
             "feasible": bool(outcome.feasible),
             "score": _finite(outcome.score),
-            "worst_residual": _finite(np.max(outcome.triangulation_residuals)),
-            "worst_gap": _finite(np.max(outcome.cross_view_gaps))}
+            "worst_residual": _finite(outcome.triangulation_residuals.max()),
+            "worst_gap": _finite(outcome.cross_view_gaps.max())}
 
 
 def run_session(cfg: SessionConfig) -> PlaySession:

@@ -109,7 +109,8 @@ class Layout:
         raise KeyError(f"no fixed region for slot {slot!r}")
 
     def anchors(self) -> dict:
-        return {TABLE: tuple(self.table.center), SHELF: tuple(self.shelf.center)}
+        return {TABLE: tuple(self.table.center.tolist()),
+                SHELF: tuple(self.shelf.center.tolist())}
 
 
 def layout_to_dict(layout: Layout) -> dict:
@@ -300,7 +301,7 @@ def snapshot(world: SimWorld) -> SceneSnapshot:
     """Immutable snapshot of the current scene."""
     return SceneSnapshot(
         rig=world.layout.rig,
-        objects={k: ObjectState(position=tuple(v.position), upright=v.upright)
+        objects={k: ObjectState(position=tuple(v.position.tolist()), upright=v.upright)
                  for k, v in world.objects.items()},
         anchors=world.layout.anchors())
 
@@ -535,7 +536,8 @@ class CorrespondenceOracle:
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):
-        key = tuple(np.asarray(query_pixel, dtype=float).tolist())
+        key = tuple(query_pixel.tolist() if isinstance(query_pixel, np.ndarray)
+                    else map(float, query_pixel))
         entry = self._annotations.get((source.state_id, query_view, key))
         if entry is None and source.state_id == self._memo_state:
             entry = self._memo.get((query_view, key))

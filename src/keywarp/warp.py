@@ -12,21 +12,25 @@ After warping, each segment is retimed so per-step speed matches the
 source: the step count is rescaled by the ratio of warped to source arc
 length and the new samples are placed along the warped polyline following
 the source's normalized time-to-arc profile.
+
+Half of that depends on the source demo alone: the segments, their alphas,
+the source arcs and the source side of every retime bracket. It is the
+demo's `WarpBasis`, derived on its first warp (a play session derives every
+basis before its first iteration) and kept with the demo, so a warp
+computes only what the target waypoints change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .demo import DemoSummary, Trajectory, trajectory_from_parts
+from .demo import DemoSummary, Trajectory
 from .geometry import quat_slerp
 
 DEGENERATE_SEGMENT = 1e-6   # m, below this the alpha projection is ill-posed
 DEGENERATE_ARC = 1e-9       # m, below this a segment has no length to retime
-RESAMPLED = -1              # output sample interpolated, not copied
 
 
 class LengthMismatch(ValueError):
@@ -77,35 +81,100 @@ def _arc(steps, out=None):
     if out is None:
         out = np.empty(len(steps) + 1)
     out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
+    steps.cumsum(out=out[1:])
     return out
 
 
-def _retime_brackets(s_src, s_warp):
-    """Target arc length of every retimed sample and the warped sample
-    starting its bracket, or None when the segment keeps its timing."""
-    n = s_src.shape[0]
-    L, L_new = s_src[-1], s_warp[-1]
-    if n < 2 or L < DEGENERATE_ARC:
+def _retime_profile(s_src):
+    """The source side of a segment's retime brackets: its arc length and
+    its arc at every sample over that length, or None when the segment
+    keeps its timing."""
+    L = float(s_src[-1])
+    if s_src.shape[0] < 2 or L < DEGENERATE_ARC:
         return None
-    steps = n - 1
+    return L, s_src / L
+
+
+def _retime_brackets(profile, s_warp):
+    """Target arc length of every interior retimed sample and the warped
+    sample starting its bracket; the endpoints are pinned, not retimed."""
+    L, s_norm = profile
+    steps = s_norm.shape[0] - 1
+    L_new = float(s_warp[-1])
     new_steps = max(1, round(L_new / L * steps))
-    u_src = np.arange(n) / steps
-    u_new = np.arange(new_steps + 1) / new_steps
-    s_target = np.interp(u_new, u_src, s_src / L) * L_new
-    idx = np.minimum(np.maximum(s_warp.searchsorted(s_target, side="right") - 1, 0), n - 2)
+    s_target = np.interp(np.arange(1, new_steps) / new_steps,
+                         np.arange(steps + 1) / steps, s_norm) * L_new
+    idx = np.minimum(np.maximum(s_warp.searchsorted(s_target, side="right") - 1, 0),
+                     steps - 1)
     return idx, s_target
 
 
 def _resample(arc, positions, quats, idx, s_target):
     """Positions lerped and orientations slerped at arc lengths s_target,
     each bracketed by samples idx and idx + 1 at arc lengths arc."""
-    span = arc[idx + 1] - arc[idx]
+    nxt = idx + 1
+    start = arc[idx]
+    span = arc[nxt] - start
     theta = np.where(span > DEGENERATE_ARC,
-                     (s_target - arc[idx]) / np.maximum(span, DEGENERATE_ARC), 0.0)
-    theta = np.clip(theta, 0.0, 1.0)
-    out_pos = positions[idx] * (1.0 - theta)[:, None] + positions[idx + 1] * theta[:, None]
-    return out_pos, quat_slerp(quats[idx], quats[idx + 1], theta)
+                     (s_target - start) / np.maximum(span, DEGENERATE_ARC), 0.0)
+    theta = np.minimum(np.maximum(theta, 0.0), 1.0)   # np.clip, without its overhead
+    t = theta[:, None]
+    out_pos = positions[idx] * (1.0 - t) + positions[nxt] * t
+    return out_pos, quat_slerp(quats[idx], quats[nxt], theta)
+
+
+@dataclass(frozen=True, eq=False)
+class WarpBasis:
+    """The half of a warp that depends on the source demo alone.
+
+    Its segments' samples are stacked row by row, neighbours both holding
+    their shared frame."""
+
+    segments: tuple        # (start frame, end frame, retime profile or None,
+                           #  whether it ends at a waypoint) per segment
+    alphas: np.ndarray     # (R,) each stacked row's alpha on its segment
+    blend: np.ndarray      # (2, S) row of [0; d_1 .. d_T] at each segment's start, end
+    pins: np.ndarray       # (2, P) stacked rows pinned to targets, and their waypoints
+    gripper: np.ndarray    # (R,) bit a sample carries at each row: G[start],
+                           # but G[end] at a segment's last row
+
+
+def warp_basis(demo: DemoSummary) -> WarpBasis:
+    """The demo's WarpBasis, derived on the first call and kept on the demo
+    as `DemoSummary.warp_basis`, so each demo derives it once."""
+    if demo.warp_basis is None:
+        object.__setattr__(demo, "warp_basis", _derive_basis(demo))
+    return demo.warp_basis
+
+
+def _derive_basis(demo: DemoSummary) -> WarpBasis:
+    """The demo's segments as `warp_trajectory` describes them: the head, one
+    per pair of consecutive waypoints, and the tail unless the last waypoint
+    is the last frame."""
+    P, G, W = demo.actions.positions, demo.actions.gripper, demo.waypoints
+    idx = demo.waypoint_indices.tolist()
+    M, T = len(demo.actions), len(idx)
+    # (start frame, end frame, segment line start, end, row of [0; d] blended
+    #  from at start, at end, pinned start waypoint or None, end waypoint or None)
+    segments = [(0, idx[0], P[0], W[0], 0, 1, None, 0)]
+    segments += [(idx[t], idx[t + 1], W[t], W[t + 1], t + 1, t + 2, t, t + 1)
+                 for t in range(T - 1)]
+    if idx[-1] < M - 1:
+        segments.append((idx[-1], M - 1, W[-1], P[M - 1], T, T, T - 1, None))
+    src_steps = _step_lengths(P)
+    pins, first = [], 0
+    for a, b, *_, pin0, pin1 in segments:
+        pins += [(row, t) for row, t in ((first, pin0), (first + b - a, pin1)) if t is not None]
+        first += b - a + 1
+    return WarpBasis(
+        segments=tuple((a, b, _retime_profile(_arc(src_steps[a:b])), b in idx)
+                       for a, b, *_ in segments),
+        alphas=np.concatenate([segment_alphas(P[a:b + 1], w0, w1)
+                               for a, b, w0, w1, *_ in segments]),
+        blend=np.array([[seg[4] for seg in segments], [seg[5] for seg in segments]]),
+        pins=np.array([[row for row, _ in pins], [t for _, t in pins]]),
+        gripper=np.concatenate([G[[a] * (b - a) + [b]] for a, b, *_ in segments]
+                               ).astype(np.int8))
 
 
 def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
@@ -118,80 +187,64 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
     by the final waypoint's displacement. Waypoint samples are pinned to the
     target waypoints verbatim.
 
-    All segments are warped and retimed in one pass over their stacked
-    samples: per segment only the alphas and the retimed sample brackets
-    are computed. The result equals, value for value, the per-segment
-    reference `warp_segment` then `retime_segment` in tests/oracle_utils.py.
+    What depends on the demo alone (its segments and their alphas, and the
+    source side of every retime bracket) is the demo's `warp_basis`,
+    derived once per demo. A call warps all segments in one pass over their
+    stacked samples, retimes them one by one, and gathers the plan's
+    actions from the stacked samples in one copy. The result equals, value
+    for value, the per-segment reference `warp_segment` then
+    `retime_segment` in tests/oracle_utils.py.
     """
     w_new = np.asarray(target_waypoints, dtype=float)
     W = demo.waypoints
     if w_new.shape != W.shape:
         raise LengthMismatch(f"expected {W.shape[0]} target waypoints, got {w_new.shape}")
-    disp = w_new - W
+    basis = warp_basis(demo)
+    disp = np.zeros((len(W) + 1, 3))   # row 0: the head's zero displacement
+    disp[1:] = w_new - W
+    counts = [b - a + 1 for a, b, *_ in basis.segments]
+    actions = demo.actions.actions
+    stacked = np.concatenate([actions[a:b + 1] for a, b, *_ in basis.segments])
+    warped = _displace(stacked[:, :3], basis.alphas,
+                       disp[basis.blend[0]].repeat(counts, axis=0),
+                       disp[basis.blend[1]].repeat(counts, axis=0))
+    warped[basis.pins[0]] = w_new[basis.pins[1]]
+    warp_steps = _step_lengths(warped)
+    arc = np.empty(len(warped))
 
-    traj = demo.actions
-    P, Q, G = traj.positions, traj.orientations, traj.gripper
-    idx = demo.waypoint_indices
-    M, T = len(traj), len(idx)
-    zero = np.zeros(3)
-
-    # (start_frame, end_frame, seg_start, seg_end, disp_start, disp_end,
-    #  pinned start point or None, pinned end point or None)
-    segments = [(0, idx[0], P[0], W[0], zero, disp[0], None, w_new[0])]
-    for t in range(T - 1):
-        segments.append((idx[t], idx[t + 1], W[t], W[t + 1], disp[t], disp[t + 1],
-                         w_new[t], w_new[t + 1]))
-    if idx[-1] < M - 1:
-        segments.append((idx[-1], M - 1, W[-1], P[M - 1], disp[-1], disp[-1],
-                         w_new[-1], None))
-
-    # Segments stacked row by row; neighbours both hold their shared frame.
-    counts = [b - a + 1 for a, b, *_ in segments]
-    rows = np.concatenate([np.arange(a, b + 1) for a, b, *_ in segments])
-    warped = _displace(
-        P[rows],
-        np.concatenate([segment_alphas(P[a:b + 1], w0, w1) for a, b, w0, w1, *_ in segments]),
-        np.repeat([seg[4] for seg in segments], counts, axis=0),
-        np.repeat([seg[5] for seg in segments], counts, axis=0))
-    firsts = list(accumulate(counts[:-1], initial=0))   # stacked row of each segment start
-    for (*_, pin0, pin1), first, n in zip(segments, firsts, counts):
-        if pin0 is not None:
-            warped[first] = pin0
-        if pin1 is not None:
-            warped[first + n - 1] = pin1
-    quats = Q[rows]
-    src_steps, warp_steps = _step_lengths(P), _step_lengths(warped)
-    arc = np.empty(len(rows))
-
-    # stacked row copied into each output sample, RESAMPLED where it is lerped
-    take, lo, s_target, grip = [], [], [], []
-    boundaries = []
-    waypoint_frames = set(idx.tolist())
-    for k, ((a, b, *_), first, n) in enumerate(zip(segments, firsts, counts)):
+    # stacked row of each output sample; a retimed one takes the row starting
+    # its bracket, whose gripper bit it carries
+    take, lerp_at, lo, s_target, boundaries = [], [], [], [], []
+    first = n_out = 0
+    for k, ((_, _, profile, at_waypoint), n) in enumerate(zip(basis.segments, counts)):
         last = first + n - 1
-        s_warp = _arc(warp_steps[first:last], out=arc[first:last + 1])
-        brackets = _retime_brackets(_arc(src_steps[a:b]), s_warp)
-        if brackets is None:
-            src = list(range(first, last + 1))
+        skip = 1 if k else 0   # a later segment drops the sample the last one ends on
+        if profile is None:
+            piece = [np.arange(first + skip, last + 1)]
         else:
-            # endpoints are pinned to the warped endpoints, the rest resampled
-            src = [first] + [RESAMPLED] * (len(brackets[0]) - 2) + [last]
-            lo.append(brackets[0][1:-1] + first)
-            s_target.append(brackets[1][1:-1])
-        keep = 1 if k else 0   # drop the duplicated boundary sample
-        take += src[keep:]
-        grip += ([G[a]] * (len(src) - 1) + [G[b]])[keep:]
-        if b in waypoint_frames:
-            boundaries.append(len(take) - 1)
+            idx, s = _retime_brackets(profile, _arc(warp_steps[first:last],
+                                                    out=arc[first:last + 1]))
+            idx += first
+            start = n_out + 1 - skip
+            lerp_at.append(np.arange(start, start + len(idx)))
+            piece = [[first], idx, [last]][skip:]
+            lo.append(idx)
+            s_target.append(s)
+        take += piece
+        n_out += sum(map(len, piece))
+        if at_waypoint:
+            boundaries.append(n_out - 1)
+        first = last + 1
 
-    take = np.array(take)
-    out_pos, out_quat = warped[take], quats[take]
+    take = np.concatenate(take)
+    plan = stacked[take]
+    plan[:, :3] = warped[take]
+    plan[:, 7] = basis.gripper[take]
     if lo:
-        lerp = take == RESAMPLED
-        out_pos[lerp], out_quat[lerp] = _resample(arc, warped, quats, np.concatenate(lo),
-                                                  np.concatenate(s_target))
-    plan = trajectory_from_parts(out_pos, out_quat, grip, traj.control_rate)
-    return WarpedPlan(trajectory=plan,
+        lerp_at = np.concatenate(lerp_at)
+        plan[lerp_at, :3], plan[lerp_at, 3:7] = _resample(
+            arc, warped, stacked[:, 3:7], np.concatenate(lo), np.concatenate(s_target))
+    return WarpedPlan(trajectory=Trajectory(plan, demo.actions.control_rate),
                       segment_boundaries=np.array(boundaries, dtype=int),
                       source_demo_id=demo.id, target_waypoints=w_new.copy())
 

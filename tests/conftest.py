@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -42,6 +43,23 @@ def make_oracle(library, **kwargs):
     oracle = CorrespondenceOracle(OracleConfig(**kwargs))
     library.register_with(oracle)
     return oracle
+
+
+class NaNReplies:
+    """A matcher that replies a NaN pixel to the queries named by
+    `nan_for(source, target, query_view, target_view)`, and otherwise as
+    `inner`. The default names the demo-to-scene queries of the left view
+    and every cross-view query."""
+
+    def __init__(self, inner, nan_for=None):
+        self.inner = inner
+        self.nan_for = nan_for or (lambda source, target, qv, tv: qv != tv or (
+            qv == "left" and source.state_id != target.state_id))
+
+    def match(self, source, target, query_pixel, query_view, target_view):
+        if self.nan_for(source, target, query_view, target_view):
+            return np.full(2, np.nan)
+        return self.inner.match(source, target, query_pixel, query_view, target_view)
 
 
 def json_key_paths(doc, names=(), path=()):

@@ -16,7 +16,7 @@ import numpy as np
 
 from keywarp.geometry import _rotate, look_at_camera
 from keywarp.warp import (_arc, _displace, _resample, _retime_brackets,
-                          _step_lengths, segment_alphas)
+                          _retime_profile, _step_lengths, segment_alphas)
 
 
 def brute_force_ray_midpoint(o1, d1, o2, d2, t_range=None, rounds=8, grid=121):
@@ -112,13 +112,12 @@ def retime_segment(source_positions, warped_positions, orientations):
     warped = np.asarray(warped_positions, dtype=float)
     quats = np.asarray(orientations, dtype=float)
     s_warp = _arc(_step_lengths(warped))
-    brackets = _retime_brackets(_arc(_step_lengths(src)), s_warp)
-    if brackets is None:
+    profile = _retime_profile(_arc(_step_lengths(src)))
+    if profile is None:
         return warped.copy(), quats.copy()
-    out_pos, out_quat = _resample(s_warp, warped, quats, *brackets)
-    out_pos[0], out_pos[-1] = warped[0], warped[-1]
-    out_quat[0], out_quat[-1] = quats[0], quats[-1]
-    return out_pos, out_quat
+    pos, quat = _resample(s_warp, warped, quats, *_retime_brackets(profile, s_warp))
+    return (np.vstack([warped[:1], pos, warped[-1:]]),
+            np.vstack([quats[:1], quat, quats[-1:]]))
 
 
 def random_camera(rng, intrinsics_cls, camera_cls):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_oracle
+from conftest import NaNReplies, make_oracle
 from keywarp.correspondence import (AllInfeasible, FilterConfig, MatchOutcome,
                                     cross_view_distance, demo_cross_view_distances,
-                                    match_demo, select_source_demo)
+                                    match_demo, match_pixel, select_source_demo)
 from keywarp.demo import ObjectState, SceneSnapshot
 
 
@@ -235,3 +235,82 @@ def test_demo_cross_view_distances_are_the_stored_ones(library, clean_oracle):
         stored = library.demo_side_distances[demo.id]
         computed = demo_cross_view_distances(clean_oracle, demo)
         assert all(np.array_equal(computed[v], stored[v]) for v in ("left", "right"))
+
+
+# ---------------------------------------------------------------------------
+# replies that are not a finite pixel
+
+class _Replies:
+    """A matcher whose every reply is `reply`."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def match(self, *args):
+        return self.reply
+
+
+@pytest.mark.parametrize("reply", [
+    None, np.array([np.nan, 200.0]), np.array([300.0, np.inf]), np.full(2, -np.inf),
+    [np.nan, 1.0], np.zeros(3), np.zeros((2, 1)), np.zeros(0), "pixel", object()])
+def test_a_reply_that_is_not_a_finite_pixel_is_no_match(library, reply):
+    demo = next(iter(library.demos.values()))
+    assert match_pixel(_Replies(reply), demo.snapshot, demo.snapshot,
+                       demo.keypoints["left"][0], "left", "left") is None
+
+
+def test_a_finite_pixel_reply_is_the_match(library):
+    demo = next(iter(library.demos.values()))
+    pixel = np.array([300.5, 200.25])
+    assert match_pixel(_Replies(pixel), demo.snapshot, demo.snapshot,
+                       pixel, "left", "left") is pixel
+    listed = match_pixel(_Replies([300, 200]), demo.snapshot, demo.snapshot,
+                         pixel, "left", "left")
+    assert listed.dtype == float and listed.tolist() == [300.0, 200.0]
+
+
+def test_nan_scene_replies_make_the_demo_infeasible(library, clean_oracle):
+    """A NaN pixel for the demo-to-scene left-view queries used to be
+    triangulated into a feasible outcome with a NaN score."""
+    demo = next(iter(library.demos.values()))
+    target = _shifted_snapshot(demo.snapshot, np.array([0.02, 0.0, 0.0]))
+    outcome = match_demo(NaNReplies(clean_oracle), demo, target, FilterConfig(),
+                         library.demo_side_distances[demo.id])
+    assert not outcome.feasible
+    assert outcome.score == float("inf")
+    assert np.all(np.isnan(outcome.target_waypoints))
+
+
+def test_nan_cross_view_replies_fail_the_gap_gate(library, clean_oracle):
+    """A NaN cross-view pixel used to give a NaN gap, which `max` dropped:
+    the gap read 0 and the demo passed."""
+    demo = next(iter(library.demos.values()))
+    target = _shifted_snapshot(demo.snapshot, np.array([0.02, 0.0, 0.0]))
+    matcher = NaNReplies(clean_oracle, lambda source, target, qv, tv: qv != tv)
+    outcome = match_demo(matcher, demo, target, FilterConfig(),
+                         library.demo_side_distances[demo.id])
+    assert not outcome.feasible
+    assert np.all(outcome.cross_view_gaps == np.inf)
+    assert np.all(np.isfinite(outcome.target_waypoints))
+
+
+def test_a_gap_with_a_side_that_is_not_finite_is_infinite(library, clean_oracle):
+    """inf - inf is NaN, and so is a NaN side: such a gap used to read 0 and
+    pass the gate."""
+    demo = next(iter(library.demos.values()))
+    target = _shifted_snapshot(demo.snapshot, np.array([0.02, 0.0, 0.0]))
+
+    class _NoCrossView:
+        def match(self, source, target, query_pixel, query_view, target_view):
+            if query_view != target_view:
+                return None
+            return clean_oracle.match(source, target, query_pixel, query_view, target_view)
+
+    failed = {v: np.full(demo.num_waypoints, np.inf) for v in ("left", "right")}
+    outcome = match_demo(_NoCrossView(), demo, target, FilterConfig(), failed)
+    assert not outcome.feasible
+    assert np.all(outcome.cross_view_gaps == np.inf)
+    unknown = {v: np.full(demo.num_waypoints, np.nan) for v in ("left", "right")}
+    outcome = match_demo(clean_oracle, demo, target, FilterConfig(), unknown)
+    assert not outcome.feasible
+    assert np.all(outcome.cross_view_gaps == np.inf)

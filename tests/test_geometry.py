@@ -43,6 +43,28 @@ def test_ray_is_inverse_of_projection():
     assert np.allclose(ray.direction, expected / np.linalg.norm(expected))
 
 
+def test_ray_keeps_only_an_origin_nothing_else_can_change():
+    owned = np.array([0.1, 0.2, 0.3])
+    owned.flags.writeable = False
+    assert Ray(owned, [0.0, 0.0, 2.0]).origin is owned
+    buffer = np.zeros(4)
+    view = buffer[:3]
+    view.flags.writeable = False
+    ray = Ray(view, [0.0, 0.0, 2.0])
+    buffer[0] = 5.0
+    assert ray.origin[0] == 0.0 and not ray.origin.flags.writeable
+    writable = np.zeros(3)
+    ray = Ray(writable, [0.0, 0.0, 2.0])
+    writable[0] = 5.0
+    assert ray.origin[0] == 0.0
+    for bad in (np.array([np.nan, 0.0, 0.0]), np.array([0.0, np.inf, 0.0])):
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="finite"):
+            Ray(bad, [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        Ray(np.zeros(3), np.zeros(3))
+
+
 def test_project_ray_roundtrip_random():
     rng = np.random.default_rng(11)
     for _ in range(100):

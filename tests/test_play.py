@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import keywarp.geometry
+import keywarp.warp
+from conftest import NaNReplies
 from keywarp.demo import Trajectory, _Probe, parse_action_rows
 from keywarp.play import (NoPlan, PlaySession, RemoteEvaluator, RemotePlanner,
                           RuleBasedEvaluator, RuleBasedPlanner, SessionConfig,
@@ -161,6 +164,18 @@ def test_verification_fails_on_no_match(library, clean_oracle):
     final_snap = library.final_snapshots[demo_id]
     passed, dists = verify_by_correspondence(
         Mute(), demo, final_snap, demo.waypoints[-1], demo_final=final_snap)
+    assert not passed
+    assert all(d is None for d in dists.values())
+
+
+def test_verification_fails_on_a_nan_pixel(library, clean_oracle):
+    """A NaN pixel used to give a NaN distance, which `d > threshold` passed."""
+    demo_id = library.by_task["pineapple_table_to_shelf"][0]
+    demo = library.demos[demo_id]
+    final_snap = library.final_snapshots[demo_id]
+    nan_matcher = NaNReplies(clean_oracle, lambda source, target, qv, tv: True)
+    passed, dists = verify_by_correspondence(
+        nan_matcher, demo, final_snap, demo.waypoints[-1], demo_final=final_snap)
     assert not passed
     assert all(d is None for d in dists.values())
 
@@ -506,3 +521,59 @@ def test_session_counts_a_malformed_remote_verdict_as_a_failure(protocol_server,
     assert sum(session.success_counts.values()) == 0
     assert all(a.successes == 0 for arms in session.arms.values() for a in arms.values())
     assert any(a.pulls for arms in session.arms.values() for a in arms.values())
+
+
+# ---------------------------------------------------------------------------
+# a matcher that replies NaN pixels
+
+def test_session_with_nan_replies_runs_to_the_end(library_dir, tmp_path):
+    """NaN pixels for the demo-to-scene left-view queries and for the
+    cross-view queries used to reach the warp as a feasible match and raise
+    there. Each is a failed match now: every outcome is infeasible."""
+    session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=30))
+    session.matcher = NaNReplies(session.matcher)
+    session.run()
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert len(records) == 30
+    matches = [m for r in records for m in r["matches"]]
+    assert matches and all(not m["feasible"] and m["score"] is None for m in matches)
+    assert not any(r["executed"] or r["success"] for r in records)
+
+
+# ---------------------------------------------------------------------------
+# work an iteration does not repeat
+
+def _counting(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_play_iterations_validate_no_vector_again(library_dir, tmp_path, monkeypatch):
+    """A camera centre is validated when the camera is built; the rays an
+    iteration casts from it do not validate it again."""
+    session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=5,
+                                               pixel_noise_sigma=1.0, outlier_rate=0.05))
+    calls = _counting(monkeypatch, keywarp.geometry, "_freeze_vec")
+    session.run()
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert any(r["executed"] for r in records) and any(r["verification"] for r in records)
+    assert calls == []
+
+
+def test_a_session_derives_each_warp_basis_once_before_playing(library_dir, tmp_path,
+                                                               monkeypatch):
+    calls = _counting(monkeypatch, keywarp.warp, "_derive_basis")
+    session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=10))
+    assert sorted(demo.id for demo, in calls) == sorted(session.library.demos)
+    del calls[:]
+    session.run()
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert sum(r["executed"] for r in records) > 1
+    assert calls == []

@@ -1,12 +1,14 @@
 """Property tests: the scalar geometry paths equal their numpy (np.cross)
-formulas bit for bit, projection and triangulation invert each other,
-execute_plan's toggle-frame stepping equals a plain per-step loop,
-warp_trajectory's one-pass warp equals warping and retiming segment by
-segment, and the warp invariants hold: warping is affine in the endpoint
-displacements, target waypoints are pinned exactly, and retiming gives
-the documented step count with pinned endpoints. A scene's state id is
-the same for Python float and np.float64 positions. A summary's encoding
-equals json's indented output for any action values."""
+formulas bit for bit, and rays, their intersections and point distances
+equal their np.linalg.norm spellings; projection and triangulation invert
+each other; execute_plan's toggle-frame stepping equals a plain per-step
+loop; warp_trajectory's one-pass warp equals warping and retiming segment
+by segment, and from a demo's kept basis equals the warp of a fresh copy;
+the warp invariants hold: warping is affine in the endpoint displacements,
+target waypoints are pinned exactly, and retiming gives the documented
+step count with pinned endpoints. A scene's state id is the same for
+Python float and np.float64 positions. A summary's encoding equals json's
+indented output for any action values."""
 
 import copy
 import dataclasses
@@ -14,14 +16,16 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, encode_summary,
-                          summary_to_dict, trajectory_from_parts)
-from keywarp.geometry import (CameraIntrinsics, StereoRig, look_at_camera,
-                              point_ray_distance, project,
-                              ray_through_pixel, triangulate)
+from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, decode_summary,
+                          encode_summary, summary_to_dict, trajectory_from_parts)
+from keywarp.geometry import (PARALLEL_TOL, CameraIntrinsics, DegenerateRays, Ray,
+                              StereoRig, intersect_rays, look_at_camera,
+                              point_ray_distance, project, ray_through_pixel,
+                              triangulate)
 from keywarp.sim import (SimWorld, WorldParams, _close_gripper, _open_gripper,
                          default_layout, execute_plan, generate_demo_library,
                          spawn_world)
@@ -117,6 +121,67 @@ def test_triangulate_inverts_projection(angle, spread, r_left, r_right,
                                      project(rig.right, point))
     assert np.linalg.norm(estimate - point) < 1e-9
     assert residual < 1e-9
+
+
+@given(angles, radii, heights, st.floats(-100.0, 740.0), st.floats(-100.0, 580.0))
+def test_ray_through_pixel_equals_a_ray_from_a_copy_of_the_centre(angle, radius, height,
+                                                                  u, v):
+    """The ray keeps the camera's own, already validated centre; a ray built
+    from a copy validates and freezes the copy, to the same values."""
+    cam = ring_camera(angle, radius, height, np.array([0.4, 0.1, 0.1]))
+    k = cam.intrinsics
+    d = cross_reference(cam.rotation, np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]))
+    ray = ray_through_pixel(cam, (u, v))
+    copied = Ray(origin=cam.position.copy(), direction=d)
+    assert ray.origin is cam.position
+    assert copied.origin is not cam.position and not copied.origin.flags.writeable
+    assert np.array_equal(ray.origin, copied.origin)
+    assert ray.direction.tobytes() == copied.direction.tobytes()
+    assert ray.direction.tobytes() == (d / np.linalg.norm(d)).tobytes()
+
+
+def intersect_rays_reference(a, b):
+    """`intersect_rays` spelled with np.cross and np.linalg.norm."""
+    d1, d2 = a.direction, b.direction
+    if np.linalg.norm(np.cross(d1, d2)) < PARALLEL_TOL:
+        raise DegenerateRays("parallel")
+    w0 = a.origin - b.origin
+    b12, d, e = float(d1 @ d2), float(d1 @ w0), float(d2 @ w0)
+    denom = 1.0 - b12 * b12
+    p1 = a.origin + (b12 * e - d) / denom * d1
+    p2 = b.origin + (e - b12 * d) / denom * d2
+    return 0.5 * (p1 + p2), float(np.linalg.norm(p1 - p2))
+
+
+direction = vec3.filter(lambda d: np.linalg.norm(d) > 1e-3)
+
+
+@given(vec3, direction, vec3, direction, st.booleans())
+def test_intersect_rays_equals_its_norm_spelling(o1, d1, o2, d2, parallel):
+    if parallel:   # exactly or nearly parallel: the degenerate branch
+        d2 = d1 * 0.5 + np.array([0.0, 0.0, 1e-12])
+    a, b = Ray(o1, d1), Ray(o2, d2)
+    try:
+        expected = intersect_rays_reference(a, b)
+    except DegenerateRays:
+        with pytest.raises(DegenerateRays):
+            intersect_rays(a, b)
+        return
+    point, residual = intersect_rays(a, b)
+    assert point.tobytes() == expected[0].tobytes()
+    assert residual == expected[1]
+
+
+@given(vec3, direction, st.floats(-2.0, 2.0), offsets)
+def test_point_ray_distance_equals_its_norm_spelling(origin, d, along, offset):
+    """Both branches: the foot of the perpendicular ahead of the origin, and
+    behind it, where the distance is to the origin itself."""
+    ray = Ray(origin, d)
+    point = origin + along * ray.direction + offset
+    v = point - ray.origin
+    t = float(v @ ray.direction)
+    expected = np.linalg.norm(v) if t <= 0.0 else np.linalg.norm(v - t * ray.direction)
+    assert point_ray_distance(ray, point) == float(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +335,23 @@ def test_warp_trajectory_equals_per_segment_loop(demo, scale, seed, collapse, st
     assert np.array_equal(plan.trajectory.orientations, quats)
     assert np.array_equal(plan.trajectory.gripper, grip)
     assert plan.segment_boundaries.tolist() == boundaries
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DEMOS), st.sampled_from([0.0, 1e-7, 0.02, 0.3]),
+       st.integers(0, 2**31), st.booleans())
+def test_warp_from_a_kept_basis_equals_the_warp_of_a_fresh_copy(demo, scale, seed, collapse):
+    """A demo keeps its warp basis across every warp of this module, so by
+    now it has been warped many times; warping never changes the basis, and
+    a freshly decoded copy, which derives its own, warps to the same bytes."""
+    for other in range(1, 4):
+        warp_trajectory(demo, random_targets(demo, 0.05, seed + other, False))
+    targets = random_targets(demo, scale, seed, collapse)
+    fresh = decode_summary(encode_summary(demo))
+    assert demo.warp_basis is not None and fresh.warp_basis is None
+    plan, expected = warp_trajectory(demo, targets), warp_trajectory(fresh, targets)
+    assert plan.trajectory.actions.tobytes() == expected.trajectory.actions.tobytes()
+    assert plan.segment_boundaries.tolist() == expected.segment_boundaries.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,21 @@ def test_rule_based_planner_class():
         "pineapple_bowl_to_table", "pineapple_table_to_shelf"]
 
 
+def test_rule_based_planner_keeps_each_plan_and_hands_out_copies():
+    """The planner keeps the plan of each (state, target) it planned; a
+    caller that changes its plan changes no later one, and a failure is
+    planned again."""
+    planner = RuleBasedPlanner(TASKS)
+    for start in ALL_UPRIGHT_STATES:
+        for task in TASKS:
+            first = planner.plan(start, task.id)
+            first.append("changed by the caller")
+            assert planner.plan(start, task.id) == rule_based_plan(start, task.id, TASKS)
+    for _ in range(2):
+        with pytest.raises(NoPlan):
+            planner.plan(state(TABLE, TABLE, bowl_up=False), "bowl_table_to_shelf")
+
+
 def test_evaluator_requires_effect_and_untouched_bystanders():
     ev = RuleBasedEvaluator()
     task = BY_ID["pineapple_table_to_shelf"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from keywarp.demo import trajectory_from_parts
+import keywarp.warp
+from keywarp.demo import decode_summary, encode_summary, trajectory_from_parts
 from keywarp.warp import LengthMismatch, segment_alphas, warp_trajectory
 from oracle_utils import arc_length, arc_position, retime_segment, warp_segment
 
@@ -275,3 +276,15 @@ def test_length_mismatch_raises(library):
     demo = _pick_place_demo(library)
     with pytest.raises(LengthMismatch):
         warp_trajectory(demo, demo.waypoints[:1])
+
+
+def test_warping_a_demo_twice_derives_its_basis_once(library, monkeypatch):
+    demo = decode_summary(encode_summary(_pick_place_demo(library)))
+    derived = []
+    derive = keywarp.warp._derive_basis
+    monkeypatch.setattr(keywarp.warp, "_derive_basis",
+                        lambda d: derived.append(d) or derive(d))
+    first = warp_trajectory(demo, demo.waypoints + 0.01)
+    second = warp_trajectory(demo, demo.waypoints + 0.01)
+    assert derived == [demo]
+    assert first.trajectory == second.trajectory
