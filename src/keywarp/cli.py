@@ -59,6 +59,8 @@ def cmd_gen_demos(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    if args.world_seed < 0:
+        raise ConfigError("--world-seed must be non-negative")
     library = DemoLibrary.load(args.demos)
     layout = _load_layout(args.layout)
     if args.task not in library.by_task:

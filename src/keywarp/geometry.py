@@ -249,13 +249,38 @@ def project(camera: Camera, point) -> np.ndarray:
     return np.array([k.cx + k.fx * x / z, k.cy + k.fy * y / z])
 
 
-def ray_through_pixel(camera: Camera, pixel) -> Ray:
-    """World-frame viewing ray through a pixel, origin at the camera center."""
+def _pixel_direction(camera: Camera, pixel) -> np.ndarray:
+    """World-frame direction, not normalised, of the viewing ray through a
+    pixel. Its camera-frame z is 1, so its norm is never near zero."""
     u, v = _floats(pixel)
     k = camera.intrinsics
-    d = np.array(_rotate(*camera.rotation.tolist(), (u - k.cx) / k.fx,
-                         (v - k.cy) / k.fy, 1.0))
-    return Ray(origin=camera.position, direction=d)
+    return np.array(_rotate(*camera.rotation.tolist(), (u - k.cx) / k.fx,
+                            (v - k.cy) / k.fy, 1.0))
+
+
+def ray_through_pixel(camera: Camera, pixel) -> Ray:
+    """World-frame viewing ray through a pixel, origin at the camera center."""
+    return Ray(origin=camera.position, direction=_pixel_direction(camera, pixel))
+
+
+def _midpoint(o1, d1, o2, d2):
+    """`intersect_rays` of the rays from o1 along unit d1 and from o2 along unit d2."""
+    x1, y1, z1 = d1.tolist()
+    x2, y2, z2 = d2.tolist()
+    cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    if math.sqrt(cross.dot(cross)) < PARALLEL_TOL:
+        raise DegenerateRays("rays are parallel within tolerance")
+    w0 = o1 - o2
+    b12 = float(d1.dot(d2))
+    d = float(d1.dot(w0))
+    e = float(d2.dot(w0))
+    denom = 1.0 - b12 * b12
+    t1 = (b12 * e - d) / denom
+    t2 = (e - b12 * d) / denom
+    p1 = o1 + t1 * d1
+    p2 = o2 + t2 * d2
+    gap = p1 - p2
+    return 0.5 * (p1 + p2), math.sqrt(gap.dot(gap))
 
 
 def intersect_rays(a: Ray, b: Ray):
@@ -265,29 +290,19 @@ def intersect_rays(a: Ray, b: Ray):
     exactly intersecting rays). Raises DegenerateRays when the directions
     are parallel within PARALLEL_TOL.
     """
-    d1, d2 = a.direction, b.direction
-    x1, y1, z1 = d1.tolist()
-    x2, y2, z2 = d2.tolist()
-    cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
-    if math.sqrt(cross.dot(cross)) < PARALLEL_TOL:
-        raise DegenerateRays("rays are parallel within tolerance")
-    w0 = a.origin - b.origin
-    b12 = float(d1.dot(d2))
-    d = float(d1.dot(w0))
-    e = float(d2.dot(w0))
-    denom = 1.0 - b12 * b12
-    t1 = (b12 * e - d) / denom
-    t2 = (e - b12 * d) / denom
-    p1 = a.origin + t1 * d1
-    p2 = b.origin + t2 * d2
-    gap = p1 - p2
-    return 0.5 * (p1 + p2), math.sqrt(gap.dot(gap))
+    return _midpoint(a.origin, a.direction, b.origin, b.direction)
 
 
 def triangulate(rig: StereoRig, left_pixel, right_pixel):
-    """Triangulate a stereo pixel pair; returns (point, residual in meters)."""
-    return intersect_rays(ray_through_pixel(rig.left, left_pixel),
-                          ray_through_pixel(rig.right, right_pixel))
+    """Triangulate a stereo pixel pair; returns (point, residual in meters).
+
+    Equals `intersect_rays` of the two `ray_through_pixel` rays bit for bit,
+    without building them: each direction is divided by its norm as `Ray`
+    divides it, and the camera centres are already validated."""
+    d1 = _pixel_direction(rig.left, left_pixel)
+    d2 = _pixel_direction(rig.right, right_pixel)
+    return _midpoint(rig.left.position, d1 / math.sqrt(d1.dot(d1)),
+                     rig.right.position, d2 / math.sqrt(d2.dot(d2)))
 
 
 def point_ray_distance(ray: Ray, point) -> float:

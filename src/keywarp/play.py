@@ -227,9 +227,7 @@ class SessionConfig:
         for name, value in vars(self).items():   # the fields, before those derived below
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be non-negative")
-        for name in ("c", "settle_jitter", "explore_sigma"):
+        for name in ("iterations", "seed", "c", "settle_jitter", "explore_sigma"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not 0.0 <= self.p_tip <= 1.0:
@@ -358,6 +356,8 @@ class PlaySession:
             if cfg.evaluator_url else RuleBasedEvaluator())
         self.world = spawn_world(cfg.world_layout, seed=cfg.seed + 1, params=cfg.world_params)
         self.rng = np.random.default_rng(cfg.seed)
+        # (symbolic state, snapshot) of the world as it stands, kept until it moves
+        self._scene = None
         self.out_dir = Path(cfg.out_dir)
         self.iteration = 0
         self.consecutive_failures = 0
@@ -417,9 +417,10 @@ class PlaySession:
     def run_iteration(self) -> dict:
         self.iteration += 1
         record = _new_record(self.iteration)
-        pre_state = symbolic_state(self.world)
+        if self._scene is None:
+            self._scene = symbolic_state(self.world), snapshot(self.world)
+        pre_state, obs = self._scene
         record["pre_state"] = pre_state.to_dict()
-        obs = snapshot(self.world)
         record["target_task"] = sample_target_task(
             self.success_counts, self.cfg.temperature, self.rng)
 
@@ -477,6 +478,7 @@ class PlaySession:
         post_state = symbolic_state(self.world)
         record["post_state"] = post_state.to_dict()
         final_obs = snapshot(self.world)
+        self._scene = post_state, final_obs
         ok_eval = bool(self.evaluator.evaluate(obs, pre_state, final_obs,
                                                post_state, task))
         record["evaluator_success"] = ok_eval
@@ -506,6 +508,7 @@ class PlaySession:
     def _intervene(self, reason, record):
         record["intervention"] = reason
         randomize_world(self.world)
+        self._scene = None
 
     def _append_log(self, record):
         with open(self.out_dir / LOG_FILE, "a") as fh:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -476,6 +477,10 @@ class OracleConfig:
             raise ConfigError("outlier_rate must be a probability")
 
 
+_WORDS = struct.Struct(">3Q")   # a digest's first 24 bytes as three 64-bit words
+_ULP53 = 2.0 ** -53              # a word's top 53 bits times this: a uniform in [0, 1)
+
+
 class CorrespondenceOracle:
     """MatcherInterface backed by the simulator's semantic ground truth.
 
@@ -486,8 +491,18 @@ class CorrespondenceOracle:
     into the requested view, optionally corrupted: with probability
     outlier_rate the match is replaced by a uniform random in-image pixel
     and otherwise isotropic Gaussian pixel noise is added. `match` returns
-    the (2,) pixel array, or None. Corruption is a pure function of (seed,
-    query), so repeated queries are deterministic.
+    the (2,) pixel array, or None.
+
+    Corruption is a pure function of (seed, query), so repeated queries are
+    deterministic. A query's draws come from one 32-byte blake2b digest of
+    the seed, both state ids, both views and the query pixel written to 6
+    decimals: three uniforms u0, u1, u2 in [0, 1), each the top 53 bits of
+    one 8-byte word. The match is an outlier when u0 < outlier_rate, and
+    its junk pixel is (u1 width, u2 height); otherwise the noise is the
+    Box-Muller pair of u1 and u2, sigma sqrt(-2 ln(1 - u1)) times
+    (cos, sin)(2 pi u2). The pixel, not the annotation's (anchor, offset),
+    keys the draws: demos of one task share their grasp annotation, and
+    keying on it would corrupt all their queries alike.
 
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
@@ -528,11 +543,12 @@ class CorrespondenceOracle:
             return scene.anchors[anchor]
         return None   # anchor object removed from the scene
 
-    def _query_rng(self, src_id, tgt_id, qv, tv, pixel):
+    def _query_draws(self, src_id, tgt_id, qv, tv, pixel):
+        """The query's three uniforms in [0, 1), from its digest."""
         key = (f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}"
                f"|{pixel[0]:.6f}|{pixel[1]:.6f}")
-        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-        return np.random.default_rng(int.from_bytes(digest, "big"))
+        words = _WORDS.unpack_from(hashlib.blake2b(key.encode(), digest_size=32).digest())
+        return [(w >> 11) * _ULP53 for w in words]
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):
@@ -555,16 +571,18 @@ class CorrespondenceOracle:
 
         cfg = self.config
         if cfg.outlier_rate > 0.0 or cfg.pixel_noise_sigma > 0.0:
-            rng = self._query_rng(source.state_id, target.state_id,
-                                  query_view, target_view, query_pixel)
-            if cfg.outlier_rate > 0.0 and rng.random() < cfg.outlier_rate:
+            u0, u1, u2 = self._query_draws(source.state_id, target.state_id,
+                                           query_view, target_view, key)
+            if u0 < cfg.outlier_rate:
                 k = camera.intrinsics
-                junk = np.array([rng.uniform(0.0, k.width),
-                                 rng.uniform(0.0, k.height)])
+                junk = np.array([u1 * k.width, u2 * k.height])
                 self._memoize(target.state_id, target_view, junk, None, None)
                 return junk
             if cfg.pixel_noise_sigma > 0.0:
-                pixel = pixel + rng.normal(0.0, cfg.pixel_noise_sigma, 2)
+                r = cfg.pixel_noise_sigma * math.sqrt(-2.0 * math.log(1.0 - u1))
+                theta = 2.0 * math.pi * u2
+                u, v = pixel.tolist()
+                pixel = np.array([u + r * math.cos(theta), v + r * math.sin(theta)])
         self._memoize(target.state_id, target_view, pixel, anchor, offset)
         return pixel
 

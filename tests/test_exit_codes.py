@@ -4,8 +4,9 @@ for a session artifact (checkpoint, session state, session log). Each
 file is damaged three ways (missing, not JSON, a required key deleted) and
 the message must name it; a config, a summary, a sidecar and a checkpoint
 also get a number too large for a float, and a config, a layout and a
-checkpoint a number that is not finite. A non-finite flag exits 2 naming its
-field."""
+checkpoint a number that is not finite, and a config and a checkpoint a
+negative seed. A non-finite flag and a negative seed flag exit 2 naming
+their field."""
 
 import json
 import shutil
@@ -142,16 +143,21 @@ def _value_of_the_wrong_type(path, keys):
     path.write_text("".join(lines))
 
 
-def _number_too_large(*keys):
-    """Set the value at `keys` to an integer beyond the float64 range."""
+def _set_value(name, value, *keys):
+    """Set the value at `keys` to `value`."""
     def damage(path, _):
         doc = target = json.loads(path.read_text())
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = 10**400
+        target[keys[-1]] = value
         path.write_text(json.dumps(doc))
-    damage.__name__ = "number_too_large"
+    damage.__name__ = name
     return damage
+
+
+def _number_too_large(*keys):
+    """Set the value at `keys` to an integer beyond the float64 range."""
+    return _set_value("number_too_large", 10**400, *keys)
 
 
 def _non_finite(literal, *keys):
@@ -179,6 +185,8 @@ CASES += [("config", _non_finite("1e400", "pixel_noise_sigma")),
           ("layout", _non_finite("NaN", "table", "z")),
           ("checkpoint", _non_finite("NaN", "config", "c")),
           ("checkpoint", _non_finite("Infinity", "world", "gripper", "position", 0))]
+CASES += [("config", _set_value("negative_seed", -1, "seed")),
+          ("checkpoint", _set_value("negative_seed", -1, "config", "seed"))]
 
 
 def _exit_code(argv):
@@ -208,6 +216,18 @@ def test_damaged_file_exits_with_its_roles_code_naming_it(lib, session, tmp_path
     (["warp", "--task", "pineapple_table_to_shelf", "--residual-max", "inf"], "residual_max"),
 ], ids=["play-sigma-nan", "warp-sigma-nan", "warp-residual-max-inf"])
 def test_non_finite_flag_exits_2_naming_its_field(lib, tmp_path, capsys, argv, field):
+    _assert_flag_exits_2_naming(lib, tmp_path, capsys, argv, field)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["play", "--seed", "-1"], "seed"),
+    (["warp", "--task", "pineapple_table_to_shelf", "--world-seed", "-1"], "--world-seed"),
+], ids=["play-seed", "warp-world-seed"])
+def test_negative_seed_flag_exits_2_naming_its_field(lib, tmp_path, capsys, argv, field):
+    _assert_flag_exits_2_naming(lib, tmp_path, capsys, argv, field)
+
+
+def _assert_flag_exits_2_naming(lib, tmp_path, capsys, argv, field):
     out = tmp_path / "o"
     assert _exit_code(argv + ["--demos", str(lib), "--out", str(out)]) == INPUT
     assert field in capsys.readouterr().err

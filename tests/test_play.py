@@ -17,7 +17,7 @@ from keywarp.play import (NoPlan, PlaySession, RemoteEvaluator, RemotePlanner,
                           export_success_dataset, read_session_log,
                           resume_session, rule_based_plan, run_session,
                           verify_by_correspondence)
-from keywarp.sim import ConfigError, execute_plan, snapshot, spawn_world
+from keywarp.sim import ConfigError, execute_plan, snapshot, spawn_world, symbolic_state
 from keywarp.tasks import SymbolicState, builtin_tasks
 from keywarp.warp import warp_trajectory
 
@@ -577,3 +577,32 @@ def test_a_session_derives_each_warp_basis_once_before_playing(library_dir, tmp_
     records = read_session_log(tmp_path / "s" / "session_log.jsonl")
     assert sum(r["executed"] for r in records) > 1
     assert calls == []
+
+
+def test_a_degraded_iteration_builds_no_generator(library_dir, tmp_path, monkeypatch):
+    """The oracle draws a query's corruption from its digest, not from a
+    numpy Generator built per query."""
+    session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=10,
+                                               pixel_noise_sigma=2.0, outlier_rate=0.05))
+    calls = _counting(monkeypatch, np.random, "default_rng")
+    session.run()
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert sum(r["executed"] for r in records) > 1
+    assert calls == []
+
+
+def test_the_kept_scene_is_the_world_as_it_stands(library_dir, tmp_path):
+    """An iteration starts from the scene the previous one left, and takes
+    the scene afresh only after an intervention moved the world."""
+    session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=30,
+                                               outlier_rate=0.2,
+                                               max_consecutive_failures=3))
+    kept = 0
+    while session.iteration < session.cfg.iterations:
+        if session._scene is not None:
+            assert session._scene == (symbolic_state(session.world), snapshot(session.world))
+            kept += 1
+        session.run_iteration()
+    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
+    assert any(r["executed"] for r in records) and session.interventions
+    assert kept >= session.cfg.iterations - 1 - len(session.interventions)

@@ -1,7 +1,8 @@
 """Property tests: the scalar geometry paths equal their numpy (np.cross)
 formulas bit for bit, and rays, their intersections and point distances
 equal their np.linalg.norm spellings; projection and triangulation invert
-each other; execute_plan's toggle-frame stepping equals a plain per-step
+each other, and triangulation equals intersecting its two pixel rays;
+execute_plan's toggle-frame stepping equals a plain per-step
 loop; warp_trajectory's one-pass warp equals warping and retiming segment
 by segment, and from a demo's kept basis equals the warp of a fresh copy;
 the warp invariants hold: warping is affine in the endpoint displacements,
@@ -22,10 +23,10 @@ from hypothesis import strategies as st
 
 from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, decode_summary,
                           encode_summary, summary_to_dict, trajectory_from_parts)
-from keywarp.geometry import (PARALLEL_TOL, CameraIntrinsics, DegenerateRays, Ray,
-                              StereoRig, intersect_rays, look_at_camera,
-                              point_ray_distance, project, ray_through_pixel,
-                              triangulate)
+from keywarp.geometry import (PARALLEL_TOL, CameraIntrinsics, DegenerateRays,
+                              NonPositiveDepth, Ray, StereoRig, intersect_rays,
+                              look_at_camera, point_ray_distance, project,
+                              ray_through_pixel, triangulate)
 from keywarp.sim import (SimWorld, WorldParams, _close_gripper, _open_gripper,
                          default_layout, execute_plan, generate_demo_library,
                          spawn_world)
@@ -168,6 +169,36 @@ def test_intersect_rays_equals_its_norm_spelling(o1, d1, o2, d2, parallel):
             intersect_rays(a, b)
         return
     point, residual = intersect_rays(a, b)
+    assert point.tobytes() == expected[0].tobytes()
+    assert residual == expected[1]
+
+
+pixels = st.tuples(st.floats(-100.0, 740.0), st.floats(-100.0, 580.0))
+
+
+@given(angles, st.floats(np.pi / 6, 5 * np.pi / 6), radii, radii, heights, pixels,
+       pixels, st.booleans())
+def test_triangulate_equals_intersect_rays_of_its_pixel_rays(angle, spread, r_left,
+                                                             r_right, height, left_pixel,
+                                                             right_pixel, parallel):
+    """`triangulate` builds no Ray, and answers what the two rays would, bit
+    for bit, DegenerateRays included."""
+    target = np.array([0.4, 0.1, 0.1])
+    rig = StereoRig(left=ring_camera(angle, r_left, height, target),
+                    right=ring_camera(angle + spread, r_right, height, target))
+    a = ray_through_pixel(rig.left, left_pixel)
+    if parallel:   # the right ray along the left one: the degenerate branch
+        try:
+            right_pixel = project(rig.right, rig.right.position + a.direction)
+        except NonPositiveDepth:
+            assume(False)
+    try:
+        expected = intersect_rays(a, ray_through_pixel(rig.right, right_pixel))
+    except DegenerateRays:
+        with pytest.raises(DegenerateRays):
+            triangulate(rig, left_pixel, right_pixel)
+        return
+    point, residual = triangulate(rig, left_pixel, right_pixel)
     assert point.tobytes() == expected[0].tobytes()
     assert residual == expected[1]
 

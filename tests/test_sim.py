@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -248,6 +249,77 @@ def test_oracle_deterministic_per_query(library):
             mc = a.match(demo.snapshot, demo.snapshot,
                          demo.keypoints[view][t], view, view)
             assert np.array_equal(ma, mc)
+
+
+N_QUERIES = 20_000
+
+
+def _replies(layout, **config):
+    """An oracle's replies to N_QUERIES distinct left-view pixels, each
+    annotated on one anchor, matched into the right view of the same scene,
+    and the clean match they all share."""
+    scene = _anchor_scene(layout.rig, a=(0.3, 0.0, 0.0))
+    oracle = CorrespondenceOracle(OracleConfig(**config))
+    pixels = [(float(i % 400), 0.5 * (i // 400)) for i in range(N_QUERIES)]
+    for pixel in pixels:
+        oracle.register_annotation(scene.state_id, "left", pixel, "a", (0.0, 0.0, 0.0))
+    replies = np.array([oracle.match(scene, scene, p, "left", "right") for p in pixels])
+    return replies, project(layout.rig.right, [0.3, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.5, 1.0])
+def test_oracle_outlier_share_is_the_outlier_rate(layout, rate):
+    """Without noise a reply is an outlier exactly when it is not the clean
+    match; outliers are in-image pixels, and at rate 1 every reply is one."""
+    replies, clean = _replies(layout, outlier_rate=rate, seed=3)
+    outlier = (replies != clean).any(axis=1)
+    if rate == 1.0:
+        assert outlier.all()
+    assert abs(outlier.mean() - rate) <= 4 * math.sqrt(rate * (1 - rate) / N_QUERIES)
+    k = layout.rig.right.intrinsics
+    junk = replies[outlier]
+    assert ((junk >= 0) & (junk < [k.width, k.height])).all()
+
+
+def test_oracle_noise_is_gaussian_with_sigma(layout):
+    sigma = 2.0
+    replies, clean = _replies(layout, pixel_noise_sigma=sigma, seed=4)
+    noise = replies - clean
+    bound = 4 * sigma / math.sqrt(N_QUERIES)
+    assert (abs(noise.mean(axis=0)) <= bound).all()
+    assert (abs(noise.std(axis=0) - sigma) <= bound).all()
+    for component in noise.T:
+        assert stats.kstest(component, "norm", args=(0.0, sigma)).pvalue > 1e-4
+    assert abs(np.corrcoef(noise.T)[0, 1]) <= 4 / math.sqrt(N_QUERIES)
+
+
+def test_oracle_replies_are_a_function_of_the_seed(layout):
+    config = dict(pixel_noise_sigma=2.0, outlier_rate=0.05)
+    a, _ = _replies(layout, seed=7, **config)
+    b, _ = _replies(layout, seed=7, **config)
+    c, _ = _replies(layout, seed=8, **config)
+    assert np.array_equal(a, b)
+    assert (a != c).any(axis=1).all()
+
+
+def test_oracle_corrupts_demos_sharing_a_grasp_annotation_independently(library, layout,
+                                                                       clean_oracle):
+    """Every demo of a task grasps at one (anchor, offset), so their clean
+    matches into one observation coincide; the corruption is keyed on each
+    demo's own query, so their corrupted matches do not."""
+    oracle = make_oracle(library, pixel_noise_sigma=2.0, seed=0)
+    obs = snapshot(spawn_world(layout, seed=3))
+    for task, demo_ids in library.by_task.items():
+        grasps = {(side["anchor"], tuple(side["offset"]))
+                  for side in (library.sidecars[d]["initial"]["anchors"][0]
+                               for d in demo_ids)}
+        assert len(grasps) == 1
+        queries = [(library.demos[d].snapshot, obs, library.demos[d].keypoints["left"][0],
+                    "left", "left") for d in demo_ids]
+        clean = {tuple(clean_oracle.match(*q).tolist()) for q in queries}
+        noisy = {tuple(oracle.match(*q).tolist()) for q in queries}
+        assert len(clean) == 1
+        assert len(noisy) == len(demo_ids)
 
 
 def test_execute_grasps_and_places(layout, library, clean_oracle):
