@@ -24,7 +24,7 @@ library.register_with(oracle)
 world = spawn_world(layout, seed=42, slots={task.obj: task.source})
 obs = snapshot(world)
 print("scene:", {k: np.round(v.position, 3).tolist()
-                 for k, v in world.objects.items()})
+                 for k, v in world.scene.objects.items()})
 
 outcomes = [match_demo(oracle, d, obs, FilterConfig(), library.demo_side_distances[d.id])
             for d in demos]

@@ -210,12 +210,16 @@ def rig_to_dict(rig: StereoRig):
     return {"left": _camera_to_dict(rig.left), "right": _camera_to_dict(rig.right)}
 
 
+def objects_to_dict(objects: dict) -> dict:
+    """Object states (id -> ObjectState) as scenes and checkpoints write them."""
+    return {k: {"position": list(v.position), "upright": v.upright}
+            for k, v in objects.items()}
+
+
 def scene_to_dict(scene: SceneSnapshot):
     """A scene's objects and anchors; its rig and its id are not written."""
     return {"variant": "semantic",
-            "payload": {"objects": {k: {"position": list(v.position),
-                                        "upright": v.upright}
-                                    for k, v in scene.objects.items()},
+            "payload": {"objects": objects_to_dict(scene.objects),
                         "anchors": {k: list(v) for k, v in scene.anchors.items()}}}
 
 
@@ -340,6 +344,13 @@ def rig_from_probe(p: _Probe) -> StereoRig:
         p.fail(str(e))
 
 
+def objects_from_probe(p: _Probe) -> dict:
+    """The object states `objects_to_dict` wrote."""
+    return {name: ObjectState(position=tuple(p.child(name).child("position").vector(3)),
+                              upright=p.child(name).child("upright").boolean())
+            for name in p.mapping()}
+
+
 def scene_from_probe(p: _Probe, rig: StereoRig) -> SceneSnapshot:
     """The scene `scene_to_dict` wrote, seen by `rig`; a `state_id` an
     earlier format stored in the payload is ignored."""
@@ -347,13 +358,9 @@ def scene_from_probe(p: _Probe, rig: StereoRig) -> SceneSnapshot:
     if variant.string() != "semantic":
         variant.fail(f"unknown variant {variant.doc!r}")
     payload = p.child("payload")
-    objects, states = payload.child("objects"), {}
-    for name in objects.mapping():
-        op = objects.child(name)
-        states[name] = ObjectState(position=tuple(op.child("position").vector(3)),
-                                   upright=op.child("upright").boolean())
+    objects = objects_from_probe(payload.child("objects"))
     anchors = payload.child("anchors")
-    return SceneSnapshot(rig=rig, objects=states,
+    return SceneSnapshot(rig=rig, objects=objects,
                          anchors={name: tuple(anchors.child(name).vector(3))
                                   for name in anchors.mapping()})
 

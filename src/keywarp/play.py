@@ -356,8 +356,6 @@ class PlaySession:
             if cfg.evaluator_url else RuleBasedEvaluator())
         self.world = spawn_world(cfg.world_layout, seed=cfg.seed + 1, params=cfg.world_params)
         self.rng = np.random.default_rng(cfg.seed)
-        # (symbolic state, snapshot) of the world as it stands, kept until it moves
-        self._scene = None
         self.out_dir = Path(cfg.out_dir)
         self.iteration = 0
         self.consecutive_failures = 0
@@ -417,9 +415,7 @@ class PlaySession:
     def run_iteration(self) -> dict:
         self.iteration += 1
         record = _new_record(self.iteration)
-        if self._scene is None:
-            self._scene = symbolic_state(self.world), snapshot(self.world)
-        pre_state, obs = self._scene
+        pre_state, obs = symbolic_state(self.world), snapshot(self.world)
         record["pre_state"] = pre_state.to_dict()
         record["target_task"] = sample_target_task(
             self.success_counts, self.cfg.temperature, self.rng)
@@ -478,7 +474,6 @@ class PlaySession:
         post_state = symbolic_state(self.world)
         record["post_state"] = post_state.to_dict()
         final_obs = snapshot(self.world)
-        self._scene = post_state, final_obs
         ok_eval = bool(self.evaluator.evaluate(obs, pre_state, final_obs,
                                                post_state, task))
         record["evaluator_success"] = ok_eval
@@ -508,7 +503,6 @@ class PlaySession:
     def _intervene(self, reason, record):
         record["intervention"] = reason
         randomize_world(self.world)
-        self._scene = None
 
     def _append_log(self, record):
         with open(self.out_dir / LOG_FILE, "a") as fh:

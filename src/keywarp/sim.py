@@ -5,7 +5,8 @@ positions, grasping snaps the nearest object within a radius to the
 gripper, and released objects settle straight down onto the highest
 support under them (bowl interior, then shelf, then table). Dropping from
 height can tip an object over with configurable probability, the minimal
-stochastic stand-in for real placement failures.
+stochastic stand-in for real placement failures. The objects are one
+frozen scene snapshot, replaced with its symbolic state wherever they move.
 
 The module also hosts the correspondence oracle used in place of a learned
 matcher: demo keypoints are annotated at summarization time with the scene
@@ -26,12 +27,13 @@ import numpy as np
 
 from .correspondence import demo_cross_view_distances
 from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   Trajectory, _Probe, read_json_with_bytes, rig_from_probe, rig_to_dict,
+                   Trajectory, _Probe, objects_from_probe, objects_to_dict,
+                   read_json_with_bytes, rig_from_probe, rig_to_dict,
                    scene_from_probe, scene_to_dict, summarize_demo,
                    summary_from_probe, trajectory_from_parts)
 from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
-from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec
+from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec, builtin_tasks
 
 
 class PreconditionUnsatisfiable(ValueError):
@@ -96,6 +98,18 @@ class Layout:
     accel: float = 1.5               # m/s^2
     dwell_s: float = 0.2             # pause while the gripper actuates
 
+    def __post_init__(self):
+        ids = [spec.id for spec in self.objects]
+        if (len(set(ids)) < len(ids) or {TABLE, SHELF} & set(ids)
+                or not {task.obj for task in builtin_tasks()} <= set(ids)):
+            raise ConfigError(f"object ids {ids} must differ, name no fixed slot "
+                              "and include each object a built-in task moves")
+        if any(spec.footprint < 0 or spec.interior_offset < 0 for spec in self.objects):
+            raise ConfigError("an object has a negative footprint or interior_offset")
+        for name in ("control_rate", "max_speed", "accel"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+
     def object_spec(self, obj_id: str) -> ObjectSpec:
         for spec in self.objects:
             if spec.id == obj_id:
@@ -129,13 +143,12 @@ def layout_from_dict(doc: dict) -> Layout:
                 regions[name] = SlotRegion(**bounds)
             except ConfigError as e:
                 rp.fail(str(e))
-        objects = []
-        for op in p.child("objects").array():
-            objects.append(ObjectSpec(id=op.child("id").string(),
-                                      grasp_offset=tuple(op.child("grasp_offset").vector(3)),
-                                      is_container=op.child("is_container").boolean(),
-                                      footprint=op.child("footprint").number(),
-                                      interior_offset=op.child("interior_offset").number()))
+        objects = [ObjectSpec(id=op.child("id").string(),
+                              grasp_offset=tuple(op.child("grasp_offset").vector(3)),
+                              is_container=op.child("is_container").boolean(),
+                              footprint=op.child("footprint").number(),
+                              interior_offset=op.child("interior_offset").number())
+                   for op in p.child("objects").array()]
         kwargs = {f.name: p.child(f.name).number() for f in fields(Layout)
                   if f.default is not MISSING and f.name in doc}
         return Layout(table=regions["table"], shelf=regions["shelf"],
@@ -182,22 +195,37 @@ class WorldParams:
     settle_jitter: float = 0.0      # m, xy scatter when an object settles
 
 
-@dataclass
-class _ObjState:
-    position: np.ndarray
-    upright: bool = True
-
-
 class SimWorld:
-    """Single-owner mutable scene: objects, gripper, and the world RNG."""
+    """Single-owner world: the objects as one frozen `scene` with its
+    `symbolic` state, the gripper, and the world RNG."""
 
     def __init__(self, layout: Layout, params: WorldParams, rng: np.random.Generator,
                  objects: dict):
         self.layout = layout
         self.params = params
         self.rng = rng
-        self.objects = objects   # id -> _ObjState
+        self.set_objects(objects)
         self.home_gripper()
+
+    def set_objects(self, objects: dict):
+        """Replace the scene by one holding `objects` (id -> ObjectState) and
+        derive its symbolic state: each object's slot by region containment,
+        and its upright flag. The only writer of `scene` and `symbolic`."""
+        self.scene = SceneSnapshot(rig=self.layout.rig, objects=objects,
+                                   anchors=self.layout.anchors())
+        objects, slots, shelf = self.scene.objects, {}, self.layout.shelf
+        for obj_id, state in objects.items():
+            pos, slot = state.position, TABLE
+            for spec in self.layout.objects:
+                if (spec.is_container and spec.id != obj_id and objects[spec.id].upright
+                        and _inside(spec, objects[spec.id].position, pos)):
+                    slot = spec.id
+                    break
+            else:
+                if shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < RESTING_TOLERANCE:
+                    slot = SHELF
+            slots[obj_id] = slot
+        self.symbolic = SymbolicState.make(slots, {k: o.upright for k, o in objects.items()})
 
     def home_gripper(self):
         """Open, empty-handed gripper at the layout's home pose."""
@@ -209,8 +237,7 @@ class SimWorld:
 
     def state_dict(self) -> dict:
         return {
-            "objects": {k: {"position": v.position.tolist(), "upright": v.upright}
-                        for k, v in self.objects.items()},
+            "objects": objects_to_dict(self.scene.objects),
             "gripper": {"position": self.gripper_position.tolist(),
                         "orientation": self.gripper_orientation.tolist(),
                         "closed": self.gripper_closed,
@@ -221,15 +248,16 @@ class SimWorld:
 
     @staticmethod
     def from_state_dict(layout: Layout, params: WorldParams, doc: dict) -> "SimWorld":
-        """Inverse of `state_dict`; SchemaError naming a missing or mistyped field."""
+        """Inverse of `state_dict`; SchemaError naming a missing or mistyped
+        field, or objects other than the layout's."""
         p = _Probe(doc, "world")
         rng = np.random.default_rng(0)
         rng.bit_generator.state = p.child("rng_state").mapping()
-        objects = p.child("objects")
-        world = SimWorld(layout, params, rng, {
-            k: _ObjState(position=np.array(objects.child(k).child("position").vector(3)),
-                         upright=objects.child(k).child("upright").boolean())
-            for k in objects.mapping()})
+        ids = {spec.id for spec in layout.objects}
+        objects = objects_from_probe(p.child("objects"))
+        if set(objects) != ids:
+            p.child("objects").fail(f"{sorted(objects)} are not the layout's {sorted(ids)}")
+        world = SimWorld(layout, params, rng, objects)
         g = p.child("gripper")
         world.gripper_position = np.array(g.child("position").vector(3))
         world.gripper_orientation = np.array(g.child("orientation").vector(4))
@@ -239,6 +267,8 @@ class SimWorld:
         riders = g.child("riders")
         world._rider_offsets = {k: np.array(riders.child(k).vector(3))
                                 for k in riders.mapping()}
+        if not {world.attached, *world._rider_offsets} <= ids | {None}:
+            g.fail(f"attached or riders name an object outside the layout's {sorted(ids)}")
         return world
 
 
@@ -246,8 +276,9 @@ MIN_SEPARATION = 0.12   # m, least distance between two placed objects
 
 
 def _place_objects(layout: Layout, rng, slots, region_scale) -> dict:
+    """id -> upright ObjectState for every object of the layout."""
     slots = dict(slots or {})
-    objects = {}
+    positions = {}
     ordered = sorted(layout.objects, key=lambda s: not s.is_container)
     for spec in ordered:
         slot = slots.get(spec.id, TABLE)
@@ -256,25 +287,24 @@ def _place_objects(layout: Layout, rng, slots, region_scale) -> dict:
             placed = None
             for _ in range(500):
                 xy = region.sample_xy(rng, scale=region_scale)
-                if all(np.linalg.norm(xy - o.position[:2]) >= MIN_SEPARATION
-                       for o in objects.values()):
+                if all(np.linalg.norm(xy - p[:2]) >= MIN_SEPARATION
+                       for p in positions.values()):
                     placed = np.array([xy[0], xy[1], region.z])
                     break
             if placed is None:
                 raise ConfigError(f"cannot place {spec.id!r} in {slot!r} "
                                   "without overlap")
-            objects[spec.id] = _ObjState(position=placed)
+            positions[spec.id] = placed
         elif slot == BOWL:
             container = layout.object_spec(BOWL)
-            if BOWL not in objects:
+            if BOWL not in positions:
                 raise ConfigError(f"{spec.id!r} starts inside the bowl but the "
                                   "bowl is unplaced")
-            base = objects[BOWL].position
-            objects[spec.id] = _ObjState(position=base + np.array(
-                [0.0, 0.0, container.interior_offset]))
+            positions[spec.id] = positions[BOWL] + np.array(
+                [0.0, 0.0, container.interior_offset])
         else:
             raise ConfigError(f"unknown slot {slot!r} for {spec.id!r}")
-    return objects
+    return {k: ObjectState(position=tuple(p.tolist())) for k, p in positions.items()}
 
 
 def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
@@ -294,34 +324,27 @@ def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
 def randomize_world(world: SimWorld):
     """Intervention reset: re-place every object upright on the table with the
     world's own RNG, and home the gripper."""
-    world.objects = _place_objects(world.layout, world.rng, None, 1.0)
+    world.set_objects(_place_objects(world.layout, world.rng, None, 1.0))
     world.home_gripper()
 
 
 def snapshot(world: SimWorld) -> SceneSnapshot:
-    """Immutable snapshot of the current scene."""
-    return SceneSnapshot(
-        rig=world.layout.rig,
-        objects={k: ObjectState(position=tuple(v.position.tolist()), upright=v.upright)
-                 for k, v in world.objects.items()},
-        anchors=world.layout.anchors())
+    """The world's current scene, frozen."""
+    return world.scene
 
 
-def _support_below(world: SimWorld, xy, exclude):
+def _support_below(layout: Layout, positions, upright, xy, exclude):
     """Highest support under an xy location: bowl interior > shelf > table."""
-    for spec in world.layout.objects:
-        if not spec.is_container or spec.id == exclude:
+    for spec in layout.objects:
+        if not spec.is_container or spec.id == exclude or not upright[spec.id]:
             continue
-        state = world.objects.get(spec.id)
-        if state is None or not state.upright:
-            continue
-        if (abs(xy[0] - state.position[0]) <= spec.footprint
-                and abs(xy[1] - state.position[1]) <= spec.footprint):
-            return spec.id, state.position[2] + spec.interior_offset
-    shelf = world.layout.shelf
-    if shelf.contains_xy(xy[0], xy[1]):
-        return SHELF, shelf.z
-    return TABLE, world.layout.table.z
+        position = positions[spec.id]
+        if (abs(xy[0] - position[0]) <= spec.footprint
+                and abs(xy[1] - position[1]) <= spec.footprint):
+            return spec.id, position[2] + spec.interior_offset
+    if layout.shelf.contains_xy(xy[0], xy[1]):
+        return SHELF, layout.shelf.z
+    return TABLE, layout.table.z
 
 
 RESTING_TOLERANCE = 0.04   # m, height band within which an object rests on a support
@@ -336,27 +359,8 @@ def _inside(spec: ObjectSpec, container, point) -> bool:
 
 
 def symbolic_state(world: SimWorld) -> SymbolicState:
-    """Slot assignment by region containment, with upright flags."""
-    slots, upright = {}, {}
-    for obj_id, state in world.objects.items():
-        pos = state.position
-        slot = TABLE
-        for spec in world.layout.objects:
-            if not spec.is_container or spec.id == obj_id:
-                continue
-            cont = world.objects.get(spec.id)
-            if cont is None or not cont.upright:
-                continue
-            if _inside(spec, cont.position, pos):
-                slot = spec.id
-                break
-        else:
-            shelf = world.layout.shelf
-            if shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < RESTING_TOLERANCE:
-                slot = SHELF
-        slots[obj_id] = slot
-        upright[obj_id] = state.upright
-    return SymbolicState.make(slots, upright)
+    """The symbolic state of the world's current scene."""
+    return world.symbolic
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +374,16 @@ class ExecutionTrace:
 
 
 def execute_plan(world: SimWorld, traj: Trajectory) -> ExecutionTrace:
-    """Teleport the gripper along the trajectory, mutating the world.
+    """Teleport the gripper along the trajectory, then set the world's scene
+    to where the objects came to rest.
 
     Grasping happens at close transitions (nearest object within the world's
     grasp_radius of the gripper's grasp point, or a logged miss), releasing
     at open transitions; objects inside a grasped container ride along.
     Actions outside the workspace are clipped and counted. Between
     transitions nothing but the carried objects moves, so they are placed
-    only at transition frames and at the last frame.
+    only at transition frames and at the last frame, in a copy of the
+    scene's positions and upright flags.
     """
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     executed = np.clip(P, np.array(world.layout.workspace_min),
@@ -388,73 +394,70 @@ def execute_plan(world: SimWorld, traj: Trajectory) -> ExecutionTrace:
         toggles.insert(0, 0)
     last = len(traj) - 1
     events = []
+    objects = world.scene.objects
+    positions = {k: np.array(o.position) for k, o in objects.items()}
+    upright = {k: o.upright for k, o in objects.items()}
 
     for i in toggles if toggles[-1:] == [last] else toggles + [last]:
         p = executed[i]
         if world.attached is not None:
             spec = world.layout.object_spec(world.attached)
-            held = world.objects[world.attached]
-            held.position = p - np.asarray(spec.grasp_offset)
+            held = positions[world.attached] = p - np.asarray(spec.grasp_offset)
             for rider, off in world._rider_offsets.items():
-                world.objects[rider].position = held.position + off
+                positions[rider] = held + off
         if i in toggles:
             if G[i] == 1:
-                _close_gripper(world, p, events, i)
+                _close_gripper(world, positions, p, events, i)
             else:
-                _open_gripper(world, events, i)
+                _open_gripper(world, positions, upright, events, i)
     world.gripper_position = executed[last].copy()
     world.gripper_orientation = Q[last].copy()
     world.gripper_closed = bool(G[last])
+    world.set_objects({k: ObjectState(position=tuple(p.tolist()), upright=upright[k])
+                       for k, p in positions.items()})
     return ExecutionTrace(positions=executed, events=events, out_of_bounds=oob)
 
 
-def _close_gripper(world, at, events, step):
+def _close_gripper(world, positions, at, events, step):
     best, best_d = None, float("inf")
     for spec in world.layout.objects:
-        state = world.objects.get(spec.id)
-        if state is None:
-            continue
-        d = float(np.linalg.norm(at - (state.position + np.asarray(spec.grasp_offset))))
+        d = float(np.linalg.norm(at - (positions[spec.id] + np.asarray(spec.grasp_offset))))
         if d < best_d:
             best, best_d = spec.id, d
-    if best is None or best_d > world.params.grasp_radius:
+    if best_d > world.params.grasp_radius:
         events.append({"kind": "grasp_miss", "step": step,
                        "nearest": best, "distance": best_d})
         return
     spec = world.layout.object_spec(best)
-    state = world.objects[best]
-    state.position = at - np.asarray(spec.grasp_offset)   # snap to the gripper
+    held = positions[best] = at - np.asarray(spec.grasp_offset)   # snap to the gripper
     world.attached = best
     world._rider_offsets = {}
     if spec.is_container:
-        for other_id, other in world.objects.items():
-            if other_id == best:
-                continue
-            if _inside(spec, state.position, other.position):
-                world._rider_offsets[other_id] = other.position - state.position
+        for other_id, other in positions.items():
+            if other_id != best and _inside(spec, held, other):
+                world._rider_offsets[other_id] = other - held
     events.append({"kind": "grasp", "step": step, "object": best,
                    "distance": best_d, "riders": sorted(world._rider_offsets)})
 
 
-def _open_gripper(world, events, step):
+def _open_gripper(world, positions, upright, events, step):
     if world.attached is None:
         events.append({"kind": "release_empty", "step": step})
         return
     obj_id = world.attached
-    state = world.objects[obj_id]
-    xy = state.position[:2].copy()
+    xy = positions[obj_id][:2].copy()
     if world.params.settle_jitter > 0:
         xy = xy + world.rng.normal(0.0, world.params.settle_jitter, 2)
-    slot, support = _support_below(world, xy, obj_id)
-    drop = state.position[2] - support
+    slot, support = _support_below(world.layout, positions, upright, xy, obj_id)
+    drop = positions[obj_id][2] - support
     tipped = False
     if drop > TIP_DROP_HEIGHT and world.params.p_tip > 0:
         tipped = bool(world.rng.random() < world.params.p_tip)
-    state.position = np.array([xy[0], xy[1], support])
+    positions[obj_id] = np.array([xy[0], xy[1], support])
     if tipped:
-        state.upright = False
+        upright[obj_id] = False
     for rider, off in world._rider_offsets.items():
-        world.objects[rider].position = state.position + off
+        positions[rider] = positions[obj_id] + off
     world.attached = None
     world._rider_offsets = {}
     events.append({"kind": "release", "step": step, "object": obj_id,
@@ -633,19 +636,19 @@ def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
     layout = world.layout
     spec = layout.object_spec(task.obj)
     grasp_offset = np.asarray(spec.grasp_offset)
-    gp = world.objects[task.obj].position + grasp_offset
+    gp = np.array(world.scene.objects[task.obj].position) + grasp_offset
 
     if task.dest == BOWL:
         bowl_spec = layout.object_spec(BOWL)
         anchor = BOWL
-        anchor_pos = world.objects[BOWL].position.copy()
+        anchor_pos = np.array(world.scene.objects[BOWL].position)
         rp = anchor_pos + np.array([0.0, 0.0, bowl_spec.interior_offset
                                     + layout.release_clearance]) + grasp_offset
     else:
         region = layout.region(task.dest)
         anchor = task.dest
         anchor_pos = region.center
-        others = [state.position[:2] for name, state in world.objects.items()
+        others = [state.position[:2] for name, state in world.scene.objects.items()
                   if name != task.obj]
         for _ in range(200):   # keep the drop spot clear of other objects
             xy = region.sample_xy(rng, margin=layout.release_margin)
@@ -693,12 +696,6 @@ def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
     return traj, rp, anchor, anchor_pos
 
 
-def _demo_slots(task: TaskSpec, layout: Layout) -> dict:
-    slots = {spec.id: TABLE for spec in layout.objects}
-    slots[task.obj] = task.source
-    return slots
-
-
 def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
                         seed: int = 0):
     """Scripted demonstrations for one task: spawn, script, execute, summarize.
@@ -715,7 +712,7 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
             repr(demo_seed).encode(), digest_size=6).digest(), "big")
         try:
             world = spawn_world(layout, demo_seed,
-                                slots=_demo_slots(task, layout),
+                                slots={task.obj: task.source},
                                 params=WorldParams(p_tip=0.0, settle_jitter=0.0),
                                 region_scale=layout.demo_region_scale)
         except ConfigError as e:
@@ -740,7 +737,7 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
                 {"anchor": anchor, "offset": (rp - anchor_pos).tolist()}]},
             "final": {"scene": scene_to_dict(snapshot(world)),
                       "anchor": task.obj,
-                      "offset": (rp - world.objects[task.obj].position).tolist()},
+                      "offset": (rp - world.scene.objects[task.obj].position).tolist()},
         }
         summaries.append(summary)
     return summaries, sidecars

@@ -5,8 +5,10 @@ file is damaged three ways (missing, not JSON, a required key deleted) and
 the message must name it; a config, a summary, a sidecar and a checkpoint
 also get a number too large for a float, and a config, a layout and a
 checkpoint a number that is not finite, and a config and a checkpoint a
-negative seed. A non-finite flag and a negative seed flag exit 2 naming
-their field."""
+negative seed. A config and a layout get each kind of bad object list and
+rate, and a checkpoint a world whose objects, or whose gripper's attached
+object or riders, are not its layout's. A non-finite flag and a negative
+seed flag exit 2 naming their field."""
 
 import json
 import shutil
@@ -187,6 +189,48 @@ CASES += [("config", _non_finite("1e400", "pixel_noise_sigma")),
           ("checkpoint", _non_finite("Infinity", "world", "gripper", "position", 0))]
 CASES += [("config", _set_value("negative_seed", -1, "seed")),
           ("checkpoint", _set_value("negative_seed", -1, "config", "seed"))]
+
+
+def _dropped(name, *keys):
+    """Delete the key at `keys`."""
+    def damage(path, _):
+        doc = json.loads(path.read_text())
+        drop_key(doc, keys)
+        path.write_text(json.dumps(doc))
+    damage.__name__ = name
+    return damage
+
+
+def _layout_edit(name, edit):
+    """Apply `edit` to the layout, which a config holds under "layout"."""
+    def damage(path, _):
+        doc = json.loads(path.read_text())
+        edit(doc.get("layout", doc))
+        path.write_text(json.dumps(doc))
+    damage.__name__ = name
+    return damage
+
+
+def _extra_object(object_id):
+    return lambda layout: layout["objects"].append(dict(layout["objects"][1], id=object_id))
+
+
+CASES += [("checkpoint", _dropped("object_dropped", "world", "objects", "bowl")),
+          ("checkpoint", _set_value("object_added", {"position": [0.3, 0.0, 0.0], "upright": True},
+                                    "world", "objects", "mug")),
+          ("checkpoint", _set_value("attached_absent", "mug", "world", "gripper", "attached")),
+          ("checkpoint", _set_value("rider_absent", {"mug": [0.0, 0.0, 0.02]},
+                                    "world", "gripper", "riders"))]
+CASES += [(name, damage) for name in ("config", "layout") for damage in (
+    _layout_edit("duplicate_object_id", _extra_object("pineapple")),
+    _layout_edit("object_named_as_slot", _extra_object("shelf")),
+    _layout_edit("task_object_missing", lambda layout: layout["objects"].pop(1)),
+    _layout_edit("negative_footprint", lambda layout: layout["objects"][0].update(footprint=-0.06)),
+    _layout_edit("negative_interior_offset",
+                 lambda layout: layout["objects"][0].update(interior_offset=-0.015)),
+    _layout_edit("zero_control_rate", lambda layout: layout.update(control_rate=0)),
+    _layout_edit("zero_max_speed", lambda layout: layout.update(max_speed=0.0)),
+    _layout_edit("negative_accel", lambda layout: layout.update(accel=-1.5)))]
 
 
 def _exit_code(argv):

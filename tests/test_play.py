@@ -89,13 +89,12 @@ def test_no_plan_triggers_intervention(library_dir, tmp_path):
     (tmp_path / "s").mkdir()
     session = PlaySession.start(cfg)
     session.planner = StuckPlanner()
-    before = {k: v.position.copy() for k, v in session.world.objects.items()}
+    before = snapshot(session.world)
     record = session.run_iteration()
     assert not record["success"]
     assert record["intervention"] == "no_plan"
     assert session.interventions == [{"iteration": 1, "reason": "no_plan"}]
-    after = {k: v.position.copy() for k, v in session.world.objects.items()}
-    assert any(not np.array_equal(before[k], after[k]) for k in before)
+    assert snapshot(session.world).objects != before.objects
 
 
 def test_inexecutable_first_step_is_no_plan_and_spares_the_arms(library_dir, tmp_path):
@@ -186,8 +185,7 @@ def test_verification_detects_dropped_object(library, clean_oracle, layout):
     demo_id = library.by_task["pineapple_table_to_shelf"][0]
     demo = library.demos[demo_id]
     world = spawn_world(layout, seed=77, params=None)
-    for name, state in demo.snapshot.objects.items():
-        world.objects[name].position = np.array(state.position)
+    world.set_objects(demo.snapshot.objects)
     # corrupt only the grasp waypoint so the close lands far from the object
     targets = demo.waypoints.copy()
     targets[0] += np.array([0.08, 0.0, 0.0])
@@ -591,18 +589,18 @@ def test_a_degraded_iteration_builds_no_generator(library_dir, tmp_path, monkeyp
     assert calls == []
 
 
-def test_the_kept_scene_is_the_world_as_it_stands(library_dir, tmp_path):
-    """An iteration starts from the scene the previous one left, and takes
-    the scene afresh only after an intervention moved the world."""
+def test_the_scene_is_one_object_until_the_world_moves(library_dir, tmp_path):
+    """An iteration that neither executes nor intervenes leaves the world's
+    scene, and its symbolic state, the very objects it found."""
     session = PlaySession.start(session_config(library_dir, tmp_path / "s", iterations=30,
                                                outlier_rate=0.2,
                                                max_consecutive_failures=3))
     kept = 0
     while session.iteration < session.cfg.iterations:
-        if session._scene is not None:
-            assert session._scene == (symbolic_state(session.world), snapshot(session.world))
+        scene, state = snapshot(session.world), symbolic_state(session.world)
+        record = session.run_iteration()
+        if not (record["executed"] or record["intervention"]):
+            assert snapshot(session.world) is scene
+            assert symbolic_state(session.world) is state
             kept += 1
-        session.run_iteration()
-    records = read_session_log(tmp_path / "s" / "session_log.jsonl")
-    assert any(r["executed"] for r in records) and session.interventions
-    assert kept >= session.cfg.iterations - 1 - len(session.interventions)
+    assert kept and session.interventions

@@ -218,8 +218,21 @@ def test_point_ray_distance_equals_its_norm_spelling(origin, d, along, offset):
 # ---------------------------------------------------------------------------
 # execute_plan
 
+def object_arrays(world):
+    """The scene's (positions, upright flags), as execute_plan's mutable copy."""
+    objects = world.scene.objects
+    return ({k: np.array(o.position) for k, o in objects.items()},
+            {k: o.upright for k, o in objects.items()})
+
+
+def set_arrays(world, positions, upright):
+    world.set_objects({k: ObjectState(tuple(p.tolist()), upright[k])
+                       for k, p in positions.items()})
+
+
 def execute_per_step(world, traj):
-    """Reference: advance the world one action at a time."""
+    """Reference: advance the world one action at a time, setting its scene
+    after each."""
     P, Q, G = traj.positions, traj.orientations, traj.gripper
     lo = np.array(world.layout.workspace_min)
     hi = np.array(world.layout.workspace_max)
@@ -232,25 +245,26 @@ def execute_per_step(world, traj):
         executed[i] = p
         world.gripper_position = p.copy()
         world.gripper_orientation = Q[i].copy()
+        positions, upright = object_arrays(world)
         if world.attached is not None:
             spec = world.layout.object_spec(world.attached)
-            held = world.objects[world.attached]
-            held.position = p - np.asarray(spec.grasp_offset)
+            held = positions[world.attached] = p - np.asarray(spec.grasp_offset)
             for rider, off in world._rider_offsets.items():
-                world.objects[rider].position = held.position + off
+                positions[rider] = held + off
         g = int(G[i])
         toggled = (g != int(G[i - 1])) if i > 0 else (g == 1 and not world.gripper_closed)
         if toggled:
             if g == 1:
-                _close_gripper(world, p, events, i)
+                _close_gripper(world, positions, p, events, i)
             else:
-                _open_gripper(world, events, i)
+                _open_gripper(world, positions, upright, events, i)
         world.gripper_closed = bool(g)
+        set_arrays(world, positions, upright)
     return executed, events, oob
 
 
 def grasp_point(world, obj):
-    return (world.objects[obj].position
+    return (np.array(world.scene.objects[obj].position)
             + np.asarray(LAYOUT.object_spec(obj).grasp_offset))
 
 
@@ -273,7 +287,9 @@ def test_execute_plan_equals_per_step_loop(seed, plan_steps, start, in_bowl):
     if start != "open":
         world.gripper_closed = True
     if start == "holding":   # the bowl already grasped, with any rider
-        _close_gripper(world, grasp_point(world, "bowl"), [], 0)
+        positions, upright = object_arrays(world)
+        _close_gripper(world, positions, grasp_point(world, "bowl"), [], 0)
+        set_arrays(world, positions, upright)
     positions = []
     for aim, free, jitter, _ in plan_steps:
         base = np.array(free) if aim == "free" else grasp_point(world, aim)
@@ -290,6 +306,8 @@ def test_execute_plan_equals_per_step_loop(seed, plan_steps, start, in_bowl):
     assert trace.events == ref_events
     assert trace.out_of_bounds == ref_oob
     assert world.state_dict() == reference.state_dict()
+    fresh = SimWorld(LAYOUT, world.params, world.rng, world.scene.objects)
+    assert world.symbolic == fresh.symbolic == reference.symbolic
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import builtins
 import collections
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -31,26 +32,32 @@ def world_from_snapshot(layout, snap, params=None):
     """Rebuild a world whose objects sit exactly where a snapshot says."""
     world = spawn_world(layout, seed=0, params=params or WorldParams(
         p_tip=0.0, settle_jitter=0.0))
-    for name, state in snap.objects.items():
-        world.objects[name].position = np.array(state.position)
-        world.objects[name].upright = state.upright
+    world.set_objects(snap.objects)
     return world
+
+
+def set_object(world, name, **changes):
+    """Replace the `changes` fields of one object's state in the world."""
+    objects = world.scene.objects
+    world.set_objects(dict(objects, **{name: dataclasses.replace(objects[name], **changes)}))
+
+
+def position(world, name):
+    return np.array(world.scene.objects[name].position)
 
 
 def test_spawn_is_deterministic(layout):
     a = spawn_world(layout, seed=42)
     b = spawn_world(layout, seed=42)
-    for name in a.objects:
-        assert np.array_equal(a.objects[name].position, b.objects[name].position)
+    assert a.scene.objects == b.scene.objects
     c = spawn_world(layout, seed=43)
-    assert any(not np.array_equal(a.objects[n].position, c.objects[n].position)
-               for n in a.objects)
+    assert a.scene.objects != c.scene.objects
 
 
 def test_spawn_into_bowl(layout):
     world = spawn_world(layout, seed=1, slots={"pineapple": BOWL, "bowl": TABLE})
     bowl_spec = layout.object_spec("bowl")
-    rel = world.objects["pineapple"].position - world.objects["bowl"].position
+    rel = position(world, "pineapple") - position(world, "bowl")
     assert abs(rel[0]) <= bowl_spec.footprint
     assert abs(rel[1]) <= bowl_spec.footprint
     assert rel[2] == pytest.approx(bowl_spec.interior_offset)
@@ -71,7 +78,7 @@ def test_spawn_positions_uniform_chi2(layout):
     for seed in range(1000):
         world = spawn_world(layout, seed=seed,
                             slots={"pineapple": TABLE, "bowl": SHELF})
-        x, y, _ = world.objects["pineapple"].position
+        x, y, _ = world.scene.objects["pineapple"].position
         xs.append(x)
         ys.append(y)
     region = layout.table
@@ -88,7 +95,7 @@ def test_snapshot_is_immutable_copy(layout):
     world = spawn_world(layout, seed=5)
     snap = snapshot(world)
     before = dict(snap.objects)
-    world.objects["pineapple"].position = world.objects["pineapple"].position + 0.3
+    set_object(world, "pineapple", position=tuple(position(world, "pineapple") + 0.3))
     after = snapshot(world)
     assert snap.objects == before
     assert snap.state_id != after.state_id
@@ -141,11 +148,10 @@ def test_oracle_translated_object_matches_projection(library, clean_oracle, layo
     demo = library.demos[library.by_task["pineapple_table_to_shelf"][0]]
     world = world_from_snapshot(layout, demo.snapshot)
     delta = np.array([0.1, 0.0, 0.0])
-    world.objects["pineapple"].position = (
-        world.objects["pineapple"].position + delta)
+    set_object(world, "pineapple", position=tuple(position(world, "pineapple") + delta))
     target = snapshot(world)
     grasp_offset = np.asarray(layout.object_spec("pineapple").grasp_offset)
-    expected_point = world.objects["pineapple"].position + grasp_offset
+    expected_point = position(world, "pineapple") + grasp_offset
     for view in ("left", "right"):
         pixel = clean_oracle.match(demo.snapshot, target,
                                    demo.keypoints[view][0], view, view)
@@ -217,9 +223,9 @@ def test_oracle_lookup_is_exact(layout):
 
 
 def _moved(layout, snap, delta):
-    world = world_from_snapshot(layout, snap)
-    for state in world.objects.values():
-        state.position = state.position + delta
+    world = spawn_world(layout, seed=0)
+    world.set_objects({k: dataclasses.replace(o, position=tuple(np.add(o.position, delta)))
+                       for k, o in snap.objects.items()})
     return snapshot(world)
 
 
@@ -341,7 +347,7 @@ def test_execute_far_close_does_not_attach(layout):
                                                            settle_jitter=0.0))
     pre = symbolic_state(world)
     # close the gripper 5 cm above the pineapple's grasp point
-    gp = world.objects["pineapple"].position + np.asarray(
+    gp = position(world, "pineapple") + np.asarray(
         layout.object_spec("pineapple").grasp_offset)
     far = gp + np.array([0.05, 0.0, 0.0])
     positions = np.array([layout.home, far, far, layout.home])
@@ -357,7 +363,7 @@ def test_forced_tip_on_high_drop(layout):
     from keywarp.demo import trajectory_from_parts
     world = spawn_world(layout, seed=11,
                         params=WorldParams(p_tip=1.0, settle_jitter=0.0))
-    gp = world.objects["pineapple"].position + np.asarray(
+    gp = position(world, "pineapple") + np.asarray(
         layout.object_spec("pineapple").grasp_offset)
     high = gp + np.array([0.0, 0.0, 0.2])
     positions = np.array([layout.home, gp, gp, high, high, layout.home])
@@ -368,8 +374,8 @@ def test_forced_tip_on_high_drop(layout):
     release = next(e for e in trace.events if e["kind"] == "release")
     assert release["tipped"]
     assert release["slot"] == TABLE
-    assert not world.objects["pineapple"].upright
-    assert world.objects["pineapple"].position[2] == pytest.approx(0.0)
+    assert not world.scene.objects["pineapple"].upright
+    assert world.scene.objects["pineapple"].position[2] == pytest.approx(0.0)
 
 
 def test_execution_conservation(layout):
@@ -377,7 +383,7 @@ def test_execution_conservation(layout):
     from keywarp.demo import trajectory_from_parts
     world = spawn_world(layout, seed=13, params=WorldParams(settle_jitter=0.0,
                                                             p_tip=0.0))
-    gp = world.objects["pineapple"].position + np.asarray(
+    gp = position(world, "pineapple") + np.asarray(
         layout.object_spec("pineapple").grasp_offset)
     wild = np.array([2.0, 2.0, 2.0])   # far outside the workspace
     positions = np.array([layout.home, gp, gp, wild, wild, layout.home])
@@ -387,9 +393,9 @@ def test_execution_conservation(layout):
     trace = execute_plan(world, traj)
     assert trace.out_of_bounds > 0
     lo, hi = np.array(layout.workspace_min), np.array(layout.workspace_max)
-    for obj in world.objects.values():
-        assert np.all(obj.position >= lo - 1e-9)
-        assert np.all(obj.position <= hi + 1e-9)
+    for obj in world.scene.objects.values():
+        assert np.all(np.array(obj.position) >= lo - 1e-9)
+        assert np.all(np.array(obj.position) <= hi + 1e-9)
     # grasp event recorded the snap onto the gripper
     grasp = next(e for e in trace.events if e["kind"] == "grasp")
     assert grasp["object"] == "pineapple"
@@ -400,14 +406,14 @@ def test_attached_object_tracks_gripper(layout):
     world = spawn_world(layout, seed=17, params=WorldParams(settle_jitter=0.0,
                                                             p_tip=0.0))
     spec = layout.object_spec("pineapple")
-    gp = world.objects["pineapple"].position + np.asarray(spec.grasp_offset)
+    gp = position(world, "pineapple") + np.asarray(spec.grasp_offset)
     mid = gp + np.array([0.1, 0.05, 0.1])
     positions = np.array([layout.home, gp, gp, mid])
     quats = np.tile(layout.home_orientation, (4, 1))
     traj = trajectory_from_parts(positions, quats, np.array([0, 0, 1, 1], float))
     execute_plan(world, traj)
     assert world.attached == "pineapple"
-    assert np.allclose(world.objects["pineapple"].position,
+    assert np.allclose(position(world, "pineapple"),
                        world.gripper_position - np.asarray(spec.grasp_offset))
 
 
@@ -417,7 +423,7 @@ def test_bowl_carries_contents(layout):
     world = spawn_world(layout, seed=19, slots={"pineapple": BOWL, "bowl": TABLE},
                         params=WorldParams(settle_jitter=0.0, p_tip=0.0))
     bowl_spec = layout.object_spec("bowl")
-    gp = world.objects["bowl"].position + np.asarray(bowl_spec.grasp_offset)
+    gp = position(world, "bowl") + np.asarray(bowl_spec.grasp_offset)
     dest = np.array([layout.shelf.center[0], layout.shelf.center[1],
                      layout.shelf.z + bowl_spec.grasp_offset[2] + 0.005])
     lift = gp + np.array([0, 0, 0.15])
@@ -439,19 +445,17 @@ def test_settling_deterministic_per_seed(layout, library, clean_oracle):
     def run(seed):
         world = spawn_world(layout, seed=seed,
                             params=WorldParams(settle_jitter=0.01, p_tip=0.5))
-        for name, state in demo.snapshot.objects.items():
-            world.objects[name].position = np.array(state.position)
+        world.set_objects(demo.snapshot.objects)
         outcome = match_demo(clean_oracle, demo, snapshot(world), FilterConfig(),
                              library.demo_side_distances[demo.id])
         plan = warp_trajectory(demo, outcome.target_waypoints)
         trace = execute_plan(world, plan.trajectory)
-        return trace, {k: v.position.copy() for k, v in world.objects.items()}
+        return trace, world.scene.objects
 
     t1, w1 = run(23)
     t2, w2 = run(23)
     assert t1.events == t2.events
-    for k in w1:
-        assert np.array_equal(w1[k], w2[k])
+    assert w1 == w2
 
 
 def test_symbolic_state_examples(layout):
@@ -459,7 +463,7 @@ def test_symbolic_state_examples(layout):
     s = symbolic_state(world)
     assert s.slot_of("pineapple") == BOWL
     assert s.slot_of("bowl") == TABLE
-    world.objects["bowl"].upright = False
+    set_object(world, "bowl", upright=False)
     s2 = symbolic_state(world)
     assert not s2.is_upright("bowl")
     # a tipped bowl no longer contains
@@ -575,11 +579,11 @@ def test_unstageable_demo_task_raises(layout):
 
 def test_randomize_world_resets_cleanly(layout):
     world = spawn_world(layout, seed=37)
-    world.objects["pineapple"].upright = False
+    set_object(world, "pineapple", upright=False)
     world.attached = "pineapple"
     randomize_world(world)
     assert world.attached is None
-    assert all(o.upright for o in world.objects.values())
+    assert all(o.upright for o in world.scene.objects.values())
     assert np.array_equal(world.gripper_position, np.array(layout.home))
 
 
