@@ -28,8 +28,8 @@ from .demo import ConfigError, read_json, save_demo_library
 from .play import (SessionConfig, export_success_dataset, read_session_log,
                    resume_session, run_session, write_report_files)
 from .sim import (CorrespondenceOracle, DemoLibrary, OracleConfig,
-                  default_layout, generate_demo_library, layout_from_dict,
-                  snapshot, spawn_world)
+                  PreconditionUnsatisfiable, default_layout, generate_demo_library,
+                  layout_from_dict, snapshot, spawn_world)
 from .tasks import builtin_tasks, task_map
 from .warp import plan_to_dict, warp_trajectory
 
@@ -51,8 +51,11 @@ def cmd_gen_demos(args) -> int:
         if unknown:
             raise ConfigError(f"unknown tasks: {sorted(unknown)}")
         tasks = [t for t in tasks if t.id in wanted]
-    summaries, sidecars = generate_demo_library(layout, tasks, n=args.n,
-                                                seed=args.seed)
+    try:
+        summaries, sidecars = generate_demo_library(layout, tasks, n=args.n,
+                                                    seed=args.seed)
+    except PreconditionUnsatisfiable as e:
+        raise ConfigError(f"{args.layout or 'the built-in layout'}: {e}") from e
     save_demo_library(args.out, summaries, sidecars)
     print(f"wrote {len(summaries)} demos for {len(tasks)} tasks to {args.out}")
     return 0

@@ -16,8 +16,6 @@ import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -108,6 +106,7 @@ class RuleBasedEvaluator:
 
 
 def _post_json(url, payload, timeout):
+    import urllib.request   # here, so that sessions without a remote never load http
     req = urllib.request.Request(url, data=json.dumps(payload).encode(),
                                  headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req, timeout=timeout) as resp:
@@ -131,7 +130,7 @@ class RemotePlanner:
                    "target_task": target_task}
         try:
             reply = _post_json(self.url, payload, self.timeout)
-        except (urllib.error.URLError, TimeoutError, OSError, ValueError) as e:
+        except (OSError, ValueError) as e:   # URLError and TimeoutError are OSErrors
             raise NoPlan(f"remote planner unavailable: {e}") from e
         doc = reply if isinstance(reply, dict) else {}
         plan = doc.get("plan")
@@ -157,7 +156,7 @@ class RemoteEvaluator:
                    "post": post_state.to_dict(), "target_task": task.id}
         try:
             reply = _post_json(self.url, payload, self.timeout)
-        except (urllib.error.URLError, TimeoutError, OSError, ValueError):
+        except (OSError, ValueError):
             return False
         return isinstance(reply, dict) and reply.get("success") is True
 

@@ -20,24 +20,25 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .correspondence import demo_cross_view_distances
-from .demo import (INDEX_FILE, ConfigError, ObjectState, SceneSnapshot,
-                   Trajectory, _Probe, objects_from_probe, objects_to_dict,
+from .demo import (DEFAULT_CONTROL_RATE, INDEX_FILE, ConfigError, ObjectState,
+                   SceneSnapshot, Trajectory, _Probe, objects_from_probe, objects_to_dict,
                    read_json_with_bytes, rig_from_probe, rig_to_dict,
                    scene_from_probe, scene_to_dict, summarize_demo,
                    summary_from_probe, trajectory_from_parts)
-from .geometry import (CameraIntrinsics, NonPositiveDepth, StereoRig,
+from .geometry import (UNIT_TOL, CameraIntrinsics, NonPositiveDepth, StereoRig,
                        look_at_camera, project)
 from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec, builtin_tasks
 
 
-class PreconditionUnsatisfiable(ValueError):
-    """Requested demo task cannot be staged in the given layout."""
+class PreconditionUnsatisfiable(ConfigError):
+    """A demo of the requested task cannot be staged, scripted, executed or
+    summarized in the given layout."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +75,20 @@ class SlotRegion:
 class ObjectSpec:
     id: str
     grasp_offset: tuple             # gripper position relative to the object
-    is_container: bool = False
-    footprint: float = 0.0          # half-width of the containment capture region
-    interior_offset: float = 0.0    # support height above a container's base
+    footprint: float = 0.0          # half-width of the bowl's capture region
+    interior_offset: float = 0.0    # support height above the bowl's base
 
 
 @dataclass(frozen=True)
 class Layout:
     table: SlotRegion
     shelf: SlotRegion
-    objects: tuple                   # ObjectSpec, containers first
+    objects: tuple                   # ObjectSpec; the bowl is the one container
     rig: StereoRig
     home: tuple
     home_orientation: tuple          # wxyz
     workspace_min: tuple
     workspace_max: tuple
-    control_rate: float = 15.0
-    demo_region_scale: float = 0.35  # demos are staged near slot centers
-    release_margin: float = 0.05     # m, keep releases away from slot edges
-    approach_height: float = 0.12
-    release_clearance: float = 0.005
-    max_speed: float = 0.35          # m/s for the scripted expert
-    accel: float = 1.5               # m/s^2
-    dwell_s: float = 0.2             # pause while the gripper actuates
 
     def __post_init__(self):
         ids = [spec.id for spec in self.objects]
@@ -106,9 +98,10 @@ class Layout:
                               "and include each object a built-in task moves")
         if any(spec.footprint < 0 or spec.interior_offset < 0 for spec in self.objects):
             raise ConfigError("an object has a negative footprint or interior_offset")
-        for name in ("control_rate", "max_speed", "accel"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+        if abs(np.linalg.norm(self.home_orientation) - 1.0) > UNIT_TOL:
+            raise ConfigError("home_orientation must be a unit quaternion")
+        if not all(lo < hi for lo, hi in zip(self.workspace_min, self.workspace_max)):
+            raise ConfigError("workspace_min must be below workspace_max on every axis")
 
     def object_spec(self, obj_id: str) -> ObjectSpec:
         for spec in self.objects:
@@ -132,9 +125,25 @@ def layout_to_dict(layout: Layout) -> dict:
     return dict(asdict(layout), rig=rig_to_dict(layout.rig))
 
 
+def _check_keys(p: _Probe, record, retired):
+    """Fail on a key of `p` that is neither a field of `record` nor a key of
+    `retired` holding its value there."""
+    for key in sorted(p.mapping().keys() - {f.name for f in fields(record)}):
+        if key not in retired:
+            p.fail(f"unknown key {key!r}")
+        value = retired[key]
+        if (p.child(key).boolean() if isinstance(value, bool) else p.child(key).number()) != value:
+            p.fail(f"retired key {key!r} must hold {value!r} or be left out")
+
+
 def layout_from_dict(doc: dict) -> Layout:
+    """The layout a `layout_to_dict` document holds. A key that is not a field
+    of `Layout` or `ObjectSpec` fails, unless it is a retired key holding the
+    value earlier versions wrote: a key of `EXPERT_TUNING`, and an object's
+    `is_container`, true on the bowl and false elsewhere."""
     try:
         p = _Probe(doc)
+        _check_keys(p, Layout, EXPERT_TUNING)
         regions = {}
         for name in ("table", "shelf"):
             rp = p.child(name)
@@ -143,21 +152,19 @@ def layout_from_dict(doc: dict) -> Layout:
                 regions[name] = SlotRegion(**bounds)
             except ConfigError as e:
                 rp.fail(str(e))
-        objects = [ObjectSpec(id=op.child("id").string(),
-                              grasp_offset=tuple(op.child("grasp_offset").vector(3)),
-                              is_container=op.child("is_container").boolean(),
-                              footprint=op.child("footprint").number(),
-                              interior_offset=op.child("interior_offset").number())
-                   for op in p.child("objects").array()]
-        kwargs = {f.name: p.child(f.name).number() for f in fields(Layout)
-                  if f.default is not MISSING and f.name in doc}
+        objects = []
+        for op in p.child("objects").array():
+            objects.append(ObjectSpec(id=op.child("id").string(),
+                                      grasp_offset=tuple(op.child("grasp_offset").vector(3)),
+                                      footprint=op.child("footprint").number(),
+                                      interior_offset=op.child("interior_offset").number()))
+            _check_keys(op, ObjectSpec, {"is_container": objects[-1].id == BOWL})
         return Layout(table=regions["table"], shelf=regions["shelf"],
                       objects=tuple(objects), rig=rig_from_probe(p.child("rig")),
                       home=tuple(p.child("home").vector(3)),
                       home_orientation=tuple(p.child("home_orientation").vector(4)),
                       workspace_min=tuple(p.child("workspace_min").vector(3)),
-                      workspace_max=tuple(p.child("workspace_max").vector(3)),
-                      **kwargs)
+                      workspace_max=tuple(p.child("workspace_max").vector(3)))
     except (ValueError, KeyError) as e:
         raise ConfigError(f"bad layout: {e}") from e
 
@@ -174,7 +181,7 @@ def default_layout() -> Layout:
         shelf=SlotRegion(0.18, 0.54, 0.40, 0.64, 0.18),
         objects=(
             ObjectSpec(id="bowl", grasp_offset=(0.055, 0.0, 0.045),
-                       is_container=True, footprint=0.06, interior_offset=0.015),
+                       footprint=0.06, interior_offset=0.015),
             ObjectSpec(id="pineapple", grasp_offset=(0.0, 0.0, 0.035)),
         ),
         rig=rig,
@@ -214,17 +221,15 @@ class SimWorld:
         self.scene = SceneSnapshot(rig=self.layout.rig, objects=objects,
                                    anchors=self.layout.anchors())
         objects, slots, shelf = self.scene.objects, {}, self.layout.shelf
+        bowl, bowl_spec = objects[BOWL], self.layout.object_spec(BOWL)
         for obj_id, state in objects.items():
-            pos, slot = state.position, TABLE
-            for spec in self.layout.objects:
-                if (spec.is_container and spec.id != obj_id and objects[spec.id].upright
-                        and _inside(spec, objects[spec.id].position, pos)):
-                    slot = spec.id
-                    break
+            pos = state.position
+            if obj_id != BOWL and bowl.upright and _inside(bowl_spec, bowl.position, pos):
+                slots[obj_id] = BOWL
+            elif shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < RESTING_TOLERANCE:
+                slots[obj_id] = SHELF
             else:
-                if shelf.contains_xy(pos[0], pos[1]) and abs(pos[2] - shelf.z) < RESTING_TOLERANCE:
-                    slot = SHELF
-            slots[obj_id] = slot
+                slots[obj_id] = TABLE
         self.symbolic = SymbolicState.make(slots, {k: o.upright for k, o in objects.items()})
 
     def home_gripper(self):
@@ -279,7 +284,7 @@ def _place_objects(layout: Layout, rng, slots, region_scale) -> dict:
     """id -> upright ObjectState for every object of the layout."""
     slots = dict(slots or {})
     positions = {}
-    ordered = sorted(layout.objects, key=lambda s: not s.is_container)
+    ordered = sorted(layout.objects, key=lambda s: s.id != BOWL)
     for spec in ordered:
         slot = slots.get(spec.id, TABLE)
         if slot in (TABLE, SHELF):
@@ -312,7 +317,7 @@ def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
     """Place every object uniformly at random inside its slot region.
 
     `slots` maps object id to its starting slot (defaults to the table);
-    containers are placed before their contents. Raises ConfigError when
+    the bowl is placed before its contents. Raises ConfigError when
     placements cannot satisfy the separation constraint.
     """
     rng = np.random.default_rng(seed)
@@ -335,13 +340,10 @@ def snapshot(world: SimWorld) -> SceneSnapshot:
 
 def _support_below(layout: Layout, positions, upright, xy, exclude):
     """Highest support under an xy location: bowl interior > shelf > table."""
-    for spec in layout.objects:
-        if not spec.is_container or spec.id == exclude or not upright[spec.id]:
-            continue
-        position = positions[spec.id]
-        if (abs(xy[0] - position[0]) <= spec.footprint
-                and abs(xy[1] - position[1]) <= spec.footprint):
-            return spec.id, position[2] + spec.interior_offset
+    bowl, position = layout.object_spec(BOWL), positions[BOWL]
+    if (exclude != BOWL and upright[BOWL] and abs(xy[0] - position[0]) <= bowl.footprint
+            and abs(xy[1] - position[1]) <= bowl.footprint):
+        return BOWL, position[2] + bowl.interior_offset
     if layout.shelf.contains_xy(xy[0], xy[1]):
         return SHELF, layout.shelf.z
     return TABLE, layout.table.z
@@ -432,7 +434,7 @@ def _close_gripper(world, positions, at, events, step):
     held = positions[best] = at - np.asarray(spec.grasp_offset)   # snap to the gripper
     world.attached = best
     world._rider_offsets = {}
-    if spec.is_container:
+    if best == BOWL:
         for other_id, other in positions.items():
             if other_id != best and _inside(spec, held, other):
                 world._rider_offsets[other_id] = other - held
@@ -626,6 +628,20 @@ def _trapezoid_leg(p0, p1, v_max, accel, rate):
     return p0 + s[:, None] * direction
 
 
+# The scripted expert's fixed tuning. Layouts that earlier versions wrote
+# carry these keys with these values; `layout_from_dict` ignores them there.
+EXPERT_TUNING = {
+    "control_rate": DEFAULT_CONTROL_RATE,
+    "demo_region_scale": 0.35,   # demos are staged near slot centers
+    "release_margin": 0.05,      # m, keep releases away from slot edges
+    "approach_height": 0.12,     # m
+    "release_clearance": 0.005,  # m
+    "max_speed": 0.35,           # m/s
+    "accel": 1.5,                # m/s^2
+    "dwell_s": 0.2,              # pause while the gripper actuates
+}
+
+
 def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
     """Expert trajectory for one pick-place task in the given world.
 
@@ -643,7 +659,7 @@ def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
         anchor = BOWL
         anchor_pos = np.array(world.scene.objects[BOWL].position)
         rp = anchor_pos + np.array([0.0, 0.0, bowl_spec.interior_offset
-                                    + layout.release_clearance]) + grasp_offset
+                                    + EXPERT_TUNING["release_clearance"]]) + grasp_offset
     else:
         region = layout.region(task.dest)
         anchor = task.dest
@@ -651,26 +667,27 @@ def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
         others = [state.position[:2] for name, state in world.scene.objects.items()
                   if name != task.obj]
         for _ in range(200):   # keep the drop spot clear of other objects
-            xy = region.sample_xy(rng, margin=layout.release_margin)
+            xy = region.sample_xy(rng, margin=EXPERT_TUNING["release_margin"])
             if all(np.linalg.norm(xy - o) >= MIN_SEPARATION for o in others):
                 break
         else:
             raise PreconditionUnsatisfiable(
                 f"no clear release spot on {task.dest!r}")
         rp = np.array([xy[0], xy[1],
-                       region.z + layout.release_clearance]) + grasp_offset
+                       region.z + EXPERT_TUNING["release_clearance"]]) + grasp_offset
 
-    above_gp = gp + np.array([0.0, 0.0, layout.approach_height])
-    above_rp = rp + np.array([0.0, 0.0, layout.approach_height])
+    above_gp = gp + np.array([0.0, 0.0, EXPERT_TUNING["approach_height"]])
+    above_rp = rp + np.array([0.0, 0.0, EXPERT_TUNING["approach_height"]])
     home = np.array(layout.home, dtype=float)
-    dwell = max(1, round(layout.dwell_s * layout.control_rate))
+    rate = EXPERT_TUNING["control_rate"]
+    dwell = max(1, round(EXPERT_TUNING["dwell_s"] * rate))
 
     points = [home]
     bits = [0]
 
     def leg(target, bit):
-        for p in _trapezoid_leg(points[-1], target, layout.max_speed,
-                                layout.accel, layout.control_rate):
+        for p in _trapezoid_leg(points[-1], target, EXPERT_TUNING["max_speed"],
+                                EXPERT_TUNING["accel"], rate):
             points.append(p)
             bits.append(bit)
 
@@ -691,8 +708,7 @@ def scripted_pick_place(world: SimWorld, task: TaskSpec, rng) -> tuple:
     positions = np.array(points)
     quats = np.tile(np.asarray(layout.home_orientation, dtype=float),
                     (len(points), 1))
-    traj = trajectory_from_parts(positions, quats, np.array(bits, dtype=float),
-                                 layout.control_rate)
+    traj = trajectory_from_parts(positions, quats, np.array(bits, dtype=float), rate)
     return traj, rp, anchor, anchor_pos
 
 
@@ -710,27 +726,23 @@ def generate_seed_demos(layout: Layout, task: TaskSpec, n: int = 10,
         demo_seed = (seed, task.id, i)
         demo_seed = int.from_bytes(hashlib.blake2b(
             repr(demo_seed).encode(), digest_size=6).digest(), "big")
+        demo_id = f"{task.id}-{i:02d}"
         try:
             world = spawn_world(layout, demo_seed,
                                 slots={task.obj: task.source},
                                 params=WorldParams(p_tip=0.0, settle_jitter=0.0),
-                                region_scale=layout.demo_region_scale)
-        except ConfigError as e:
-            raise PreconditionUnsatisfiable(
-                f"cannot stage task {task.id!r}: {e}") from e
-        state = symbolic_state(world)
-        if not task.precondition(state):
-            raise PreconditionUnsatisfiable(
-                f"cannot stage task {task.id!r} (state {state.to_dict()})")
-        rng = np.random.default_rng(demo_seed + 1)
-        traj, rp, anchor, anchor_pos = scripted_pick_place(world, task, rng)
-        demo_id = f"{task.id}-{i:02d}"
-        summary = summarize_demo(traj, snapshot(world), task.id, demo_id)
-
-        execute_plan(world, traj)
-        if symbolic_state(world).slot_of(task.obj) != task.dest:
-            raise RuntimeError(f"scripted demo {demo_id!r} did not reach "
-                               f"{task.dest!r}; layout is inconsistent")
+                                region_scale=EXPERT_TUNING["demo_region_scale"])
+            state = symbolic_state(world)
+            if not task.precondition(state):
+                raise ConfigError(f"its start state is {state.to_dict()}")
+            rng = np.random.default_rng(demo_seed + 1)
+            traj, rp, anchor, anchor_pos = scripted_pick_place(world, task, rng)
+            summary = summarize_demo(traj, snapshot(world), task.id, demo_id)
+            execute_plan(world, traj)
+            if symbolic_state(world).slot_of(task.obj) != task.dest:
+                raise ConfigError(f"it did not reach {task.dest!r}")
+        except (ConfigError, NonPositiveDepth) as e:
+            raise PreconditionUnsatisfiable(f"scripted demo {demo_id!r}: {e}") from e
         sidecars[demo_id] = {
             "initial": {"anchors": [
                 {"anchor": task.obj, "offset": list(layout.object_spec(task.obj).grasp_offset)},

@@ -50,6 +50,29 @@ def test_gen_demos_invalid_layout_exits_2(tmp_path):
                  "--layout", str(bad)]) == 2
 
 
+EARLIER_LAYOUT = Path(__file__).parent / "data" / "layout_with_retired_keys.json"
+
+
+def test_a_layout_file_with_retired_keys_gives_the_built_in_scenes_outputs(tmp_path):
+    """`layout_to_dict(default_layout())` as an earlier version wrote it, with
+    the scripted expert's tuning and each object's `is_container`, writes the
+    built-in scene's library under `gen-demos --layout`, and its session log
+    as a `play` config's `layout`."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"layout": json.loads(EARLIER_LAYOUT.read_text())}))
+    runs = {"built_in": ([], []), "file": (["--layout", str(EARLIER_LAYOUT)],
+                                           ["--config", str(config)])}
+    for name, (gen_flags, play_flags) in runs.items():
+        lib, session = tmp_path / name / "lib", tmp_path / name / "session"
+        assert main(["gen-demos", "--out", str(lib), "--n", "1"] + gen_flags) == 0
+        assert main(["play", "--demos", str(lib), "--out", str(session),
+                     "--iterations", "30"] + play_flags) == 0
+    for pattern in ("lib/*", "session/session_log.jsonl"):
+        files = [sorted(tmp_path.glob(f"{name}/{pattern}")) for name in runs]
+        assert len(files[0]) == len(files[1]) > 0
+        assert [p.read_bytes() for p in files[0]] == [p.read_bytes() for p in files[1]]
+
+
 def test_gen_demos_unknown_task_exits_2(tmp_path):
     assert main(["gen-demos", "--out", str(tmp_path / "x"),
                  "--tasks", "fly_to_the_moon"]) == 2

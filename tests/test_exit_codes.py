@@ -6,18 +6,28 @@ the message must name it; a config, a summary, a sidecar and a checkpoint
 also get a number too large for a float, and a config, a layout and a
 checkpoint a number that is not finite, and a config and a checkpoint a
 negative seed. A config and a layout get each kind of bad object list and
-rate, and a checkpoint a world whose objects, or whose gripper's attached
-object or riders, are not its layout's. A non-finite flag and a negative
-seed flag exit 2 naming their field."""
+rate, an unknown key, a retired key at another value and a bad orientation
+or workspace, and a checkpoint a world whose objects, or whose gripper's
+attached object or riders, are not its layout's. A layout that `gen-demos`
+cannot stage a demo in (a table too small or behind the cameras) exits 2
+too, and so does any perturbed layout that does not exit 0. A non-finite
+flag and a negative seed flag exit 2 naming their field."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import drop_key
 from keywarp.cli import main
-from keywarp.sim import default_layout, layout_to_dict
+from keywarp.sim import EXPERT_TUNING, default_layout, layout_to_dict
 
 INPUT, ARTIFACT = 2, 4
 
@@ -230,7 +240,24 @@ CASES += [(name, damage) for name in ("config", "layout") for damage in (
                  lambda layout: layout["objects"][0].update(interior_offset=-0.015)),
     _layout_edit("zero_control_rate", lambda layout: layout.update(control_rate=0)),
     _layout_edit("zero_max_speed", lambda layout: layout.update(max_speed=0.0)),
-    _layout_edit("negative_accel", lambda layout: layout.update(accel=-1.5)))]
+    _layout_edit("negative_accel", lambda layout: layout.update(accel=-1.5)),
+    _layout_edit("misspelt_key", lambda layout: layout.update(workspace_maxx=[1, 1, 1])),
+    _layout_edit("misspelt_object_key", lambda layout: layout["objects"][0].update(foot=0.1)),
+    _layout_edit("tuned_max_speed", lambda layout: layout.update(max_speed=0.5)),
+    _layout_edit("bowl_not_a_container",
+                 lambda layout: layout["objects"][0].update(is_container=False)),
+    _layout_edit("pineapple_a_container",
+                 lambda layout: layout["objects"][1].update(is_container=True)),
+    _layout_edit("workspace_min_above_max",
+                 lambda layout: layout.update(workspace_min=[0.02, 0.8, -0.005])),
+    _layout_edit("non_unit_home_orientation",
+                 lambda layout: layout.update(home_orientation=[0.0, 0.9, 0.0, 0.0])))]
+# Layouts that parse but cannot stage a demo: `gen-demos` exits 2 naming them.
+CASES += [("layout", _layout_edit("table_too_small", lambda layout: layout["table"].update(
+              x_min=0.40, x_max=0.45, y_min=0.0, y_max=0.05))),
+          ("layout", _layout_edit("table_behind_cameras", lambda layout: (
+              layout["table"].update(y_min=-1.5, y_max=-1.0),
+              layout.update(workspace_min=[0.02, -1.6, -0.005]))))]
 
 
 def _exit_code(argv):
@@ -276,3 +303,46 @@ def _assert_flag_exits_2_naming(lib, tmp_path, capsys, argv, field):
     assert _exit_code(argv + ["--demos", str(lib), "--out", str(out)]) == INPUT
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+_shift = st.floats(-0.3, 0.3)
+
+
+@st.composite
+def perturbed_layouts(draw):
+    """The built-in layout with its slot regions, workspace, home orientation,
+    footprints and interior offsets moved, and with unknown keys and retired
+    keys at other values added."""
+    layout = layout_to_dict(default_layout())
+    for bounds in (layout["table"], layout["shelf"]):
+        for key in draw(st.sets(st.sampled_from(sorted(bounds)))):
+            bounds[key] += draw(_shift)
+    for key in draw(st.sets(st.sampled_from(["workspace_min", "workspace_max"]))):
+        layout[key] = [c + draw(_shift) for c in layout[key]]
+    if draw(st.booleans()):
+        q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+        norm = np.linalg.norm(q)
+        layout["home_orientation"] = (q / norm if draw(st.booleans()) and norm > 0.1
+                                      else q).tolist()
+    for spec in layout["objects"]:
+        for key in draw(st.sets(st.sampled_from(["footprint", "interior_offset"]))):
+            spec[key] = draw(st.floats(0.0, 0.2))
+        if draw(st.booleans()):
+            spec["is_container"] = draw(st.booleans())
+    for key in draw(st.sets(st.sampled_from(sorted(EXPERT_TUNING) + ["speed"]), max_size=2)):
+        layout[key] = draw(st.floats(-1.0, 30.0))
+    return layout
+
+
+@settings(max_examples=50, deadline=None)
+@given(perturbed_layouts())
+def test_gen_demos_on_a_perturbed_layout_exits_0_or_2_naming_it(layout):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layout.json"
+        path.write_text(json.dumps(layout))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _exit_code(["gen-demos", "--n", "1", "--layout", str(path),
+                               "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2)
+        assert code == 0 or str(path) in err.getvalue()

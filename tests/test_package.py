@@ -1,6 +1,6 @@
 """Guards on what the package ships: numpy is its only third-party import,
-every public function or class has a caller outside the tests, and every
-record field has a reader there."""
+importing it loads no HTTP client, every public function or class has a
+caller outside the tests, and every record field has a reader there."""
 
 import ast
 import json
@@ -15,6 +15,7 @@ SRC = ROOT / "src" / "keywarp"
 
 
 def test_import_keywarp_loads_no_scipy():
+    """Nor the HTTP stack, which only a remote planner or evaluator uses."""
     code = "import json, sys, keywarp; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env,
@@ -22,7 +23,8 @@ def test_import_keywarp_loads_no_scipy():
     assert result.returncode == 0, result.stderr
     modules = json.loads(result.stdout)
     assert "keywarp" in modules
-    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    for unwanted in ("scipy", "urllib.request", "http", "ssl", "email"):
+        assert [m for m in modules if m == unwanted or m.startswith(unwanted + ".")] == []
 
 
 def _used_names(path) -> set:
