@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,6 +41,16 @@ def _load_layout(path):
     return read_json(path, lambda p: layout_from_dict(p.doc))
 
 
+@contextmanager
+def _naming_layout(path):
+    """A layout the block cannot use as a ConfigError naming the file it came
+    from, `path`, or the built-in layout when that is None."""
+    try:
+        yield
+    except PreconditionUnsatisfiable as e:
+        raise ConfigError(f"{path or 'the built-in layout'}: {e}") from e
+
+
 def cmd_gen_demos(args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
@@ -51,11 +62,9 @@ def cmd_gen_demos(args) -> int:
         if unknown:
             raise ConfigError(f"unknown tasks: {sorted(unknown)}")
         tasks = [t for t in tasks if t.id in wanted]
-    try:
+    with _naming_layout(args.layout):
         summaries, sidecars = generate_demo_library(layout, tasks, n=args.n,
                                                     seed=args.seed)
-    except PreconditionUnsatisfiable as e:
-        raise ConfigError(f"{args.layout or 'the built-in layout'}: {e}") from e
     save_demo_library(args.out, summaries, sidecars)
     print(f"wrote {len(summaries)} demos for {len(tasks)} tasks to {args.out}")
     return 0
@@ -73,8 +82,9 @@ def cmd_warp(args) -> int:
         seed=args.seed))
     library.register_with(oracle)
     task = task_map(builtin_tasks()).get(args.task)   # a builtin task starts at its source
-    world = spawn_world(layout, seed=args.world_seed,
-                        slots={task.obj: task.source} if task else None)
+    with _naming_layout(args.layout):
+        world = spawn_world(layout, seed=args.world_seed,
+                            slots={task.obj: task.source} if task else None)
     obs = snapshot(world)
     filters = FilterConfig(residual_max=args.residual_max, gap_max=args.gap_max)
 
@@ -130,7 +140,8 @@ def cmd_play(args) -> int:
         cfg = replace(cfg, out_dir=args.out, **overrides)
         if not cfg.demo_library:
             raise ConfigError("a demo library is required (--demos or config)")
-        session = run_session(cfg)
+        with _naming_layout(args.config if cfg.layout else None):
+            session = run_session(cfg)
     counts = session.success_counts
     total = sum(counts.values())
     print(f"session complete: {session.iteration} iterations, {total} successes, "

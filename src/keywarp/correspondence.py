@@ -65,6 +65,7 @@ class MatchOutcome:
 
 
 _OTHER_VIEW = {"left": "right", "right": "left"}
+_FLOAT = np.dtype(float)
 
 
 def match_pixel(matcher: MatcherInterface, source: SceneSnapshot, target: SceneSnapshot,
@@ -75,10 +76,13 @@ def match_pixel(matcher: MatcherInterface, source: SceneSnapshot, target: SceneS
     reply = matcher.match(source, target, query_pixel, query_view, target_view)
     if reply is None:
         return None
-    try:
-        pixel = np.asarray(reply, dtype=float)
-    except (TypeError, ValueError):
-        return None
+    if type(reply) is np.ndarray and reply.dtype is _FLOAT:   # the oracle's replies
+        pixel = reply
+    else:
+        try:
+            pixel = np.asarray(reply, dtype=float)
+        except (TypeError, ValueError):
+            return None
     if pixel.shape != (2,) or not all(map(math.isfinite, pixel.tolist())):
         return None
     return pixel
@@ -125,15 +129,15 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     gaps = np.full(T, np.inf)
     feasible = True
 
+    left_keypoints, right_keypoints = demo.keypoints["left"], demo.keypoints["right"]
     for t in range(T):
-        matched = {view: match_pixel(matcher, demo.snapshot, obs, demo.keypoints[view][t],
-                                     view, view)
-                   for view in ("left", "right")}
-        if matched["left"] is None or matched["right"] is None:
+        left = match_pixel(matcher, demo.snapshot, obs, left_keypoints[t], "left", "left")
+        right = match_pixel(matcher, demo.snapshot, obs, right_keypoints[t], "right", "right")
+        if left is None or right is None:
             feasible = False
             continue
         try:
-            point, residual = triangulate(obs.rig, matched["left"], matched["right"])
+            point, residual = triangulate(obs.rig, left, right)
         except DegenerateRays:
             feasible = False
             continue
@@ -141,9 +145,9 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
         residuals[t] = residual
 
         worst_gap = 0.0
-        for view in ("left", "right"):
+        for view, pixel in (("left", left), ("right", right)):
             d_demo = float(demo_side_distances[view][t])
-            d_obs = cross_view_distance(matcher, obs, matched[view], view, point)
+            d_obs = cross_view_distance(matcher, obs, pixel, view, point)
             # a side that is not finite (a failed match) makes the gap infinite;
             # inf - inf would be NaN, which max drops
             gap = (abs(d_demo - d_obs) if math.isfinite(d_demo) and math.isfinite(d_obs)

@@ -66,6 +66,20 @@ class Trajectory:
         a.flags.writeable = False
         object.__setattr__(self, "actions", a)
 
+    @classmethod
+    def _adopt(cls, actions: np.ndarray, control_rate: float) -> "Trajectory":
+        """The Trajectory of `actions`, an (M, 8) float array with M >= 2, unit
+        quaternions and binary gripper bits, and a positive `control_rate`,
+        as a builder such as `warp_trajectory` guarantees them. The array is
+        kept and frozen, not copied, and only its finiteness is checked."""
+        if not np.isfinite(actions).all():
+            raise ValueError("actions must be finite")
+        actions.flags.writeable = False
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "actions", actions)
+        object.__setattr__(traj, "control_rate", control_rate)
+        return traj
+
     def __len__(self):
         return self.actions.shape[0]
 

@@ -7,14 +7,17 @@ usual computer-vision convention: x right, y down, z forward along the
 optical axis. Pixel coordinates are real-valued (no integer snapping),
 origin at the top-left image corner, u right, v down.
 
-Projection and viewing rays run on Python floats, quaternion rotation
-works per component, and cross products are written out component by
-component in the order np.cross evaluates them (`a1*b2 - a2*b1`, ...).
-No floating-point operation or its order differs from the plain numpy
-formulas, so results are bit-identical to them. A dot product stays one
-numpy dot, `a.dot(b)` (BLAS, whose fused multiply-adds a Python
-`x*x + y*y + z*z` would not reproduce), and a norm is `math.sqrt` of one:
-`np.linalg.norm` of a vector computes exactly `math.sqrt(v.dot(v))`.
+Projection, viewing rays and the two-ray midpoint run on Python floats,
+quaternion rotation works per component, and cross products are written
+out component by component in the order np.cross evaluates them
+(`a1*b2 - a2*b1`, ...). A camera keeps its validated centre and rotation
+as float tuples beside the read-only arrays, so a projection reads them
+without converting. No floating-point operation or its order differs from
+the plain numpy formulas, so results are bit-identical to them. A dot
+product stays one numpy dot, `a.dot(b)` (BLAS, whose fused multiply-adds
+a Python `x*x + y*y + z*z` would not reproduce), and a norm is
+`math.sqrt` of one: `np.linalg.norm` of a vector computes exactly
+`math.sqrt(v.dot(v))`.
 """
 
 from __future__ import annotations
@@ -145,10 +148,13 @@ class Camera:
     rotation: np.ndarray   # unit quaternion (w, x, y, z), world-from-camera
 
     def __post_init__(self):
-        _freeze_vec(self, "position", self.position, 3)
+        c = _freeze_vec(self, "position", self.position, 3)
         q = _freeze_vec(self, "rotation", self.rotation, 4)
         if abs(np.linalg.norm(q) - 1.0) > UNIT_TOL:
             raise ValueError("camera rotation must be a unit quaternion")
+        # the same values as floats, for `project` and `_pixel_direction`
+        object.__setattr__(self, "_center", tuple(c.tolist()))
+        object.__setattr__(self, "_quat", tuple(q.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Camera):
@@ -239,8 +245,8 @@ def project(camera: Camera, point) -> np.ndarray:
     principal plane.
     """
     px, py, pz = _floats(point)
-    cx, cy, cz = camera.position.tolist()
-    w, x, y, z = camera.rotation.tolist()
+    cx, cy, cz = camera._center
+    w, x, y, z = camera._quat
     # rotate by the conjugate quaternion: camera-from-world
     x, y, z = _rotate(w, -x, -y, -z, px - cx, py - cy, pz - cz)
     if z <= MIN_DEPTH:
@@ -254,13 +260,24 @@ def _pixel_direction(camera: Camera, pixel) -> np.ndarray:
     pixel. Its camera-frame z is 1, so its norm is never near zero."""
     u, v = _floats(pixel)
     k = camera.intrinsics
-    return np.array(_rotate(*camera.rotation.tolist(), (u - k.cx) / k.fx,
+    return np.array(_rotate(*camera._quat, (u - k.cx) / k.fx,
                             (v - k.cy) / k.fy, 1.0))
 
 
 def ray_through_pixel(camera: Camera, pixel) -> Ray:
-    """World-frame viewing ray through a pixel, origin at the camera center."""
-    return Ray(origin=camera.position, direction=_pixel_direction(camera, pixel))
+    """World-frame viewing ray through a pixel, origin at the camera center.
+
+    Equals `Ray(origin=camera.position, direction=_pixel_direction(...))`
+    bit for bit, without its checks: the centre is already validated and
+    frozen, and the direction, whose norm is at least 1, is divided by its
+    norm as `Ray` divides it."""
+    d = _pixel_direction(camera, pixel)
+    d = d / math.sqrt(d.dot(d))
+    d.flags.writeable = False
+    ray = object.__new__(Ray)
+    object.__setattr__(ray, "origin", camera.position)
+    object.__setattr__(ray, "direction", d)
+    return ray
 
 
 def _midpoint(o1, d1, o2, d2):
@@ -277,10 +294,14 @@ def _midpoint(o1, d1, o2, d2):
     denom = 1.0 - b12 * b12
     t1 = (b12 * e - d) / denom
     t2 = (e - b12 * d) / denom
-    p1 = o1 + t1 * d1
-    p2 = o2 + t2 * d2
-    gap = p1 - p2
-    return 0.5 * (p1 + p2), math.sqrt(gap.dot(gap))
+    a1, b1, c1 = o1.tolist()
+    a2, b2, c2 = o2.tolist()
+    # p1 = o1 + t1 * d1 and p2 = o2 + t2 * d2, component by component
+    u1, v1, w1 = a1 + t1 * x1, b1 + t1 * y1, c1 + t1 * z1
+    u2, v2, w2 = a2 + t2 * x2, b2 + t2 * y2, c2 + t2 * z2
+    gap = np.array([u1 - u2, v1 - v2, w1 - w2])
+    return (np.array([0.5 * (u1 + u2), 0.5 * (v1 + v2), 0.5 * (w1 + w2)]),
+            math.sqrt(gap.dot(gap)))
 
 
 def intersect_rays(a: Ray, b: Ray):

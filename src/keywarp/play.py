@@ -356,6 +356,7 @@ class PlaySession:
         self.world = spawn_world(cfg.world_layout, seed=cfg.seed + 1, params=cfg.world_params)
         self.rng = np.random.default_rng(cfg.seed)
         self.out_dir = Path(cfg.out_dir)
+        self.log_path = self.out_dir / LOG_FILE
         self.iteration = 0
         self.consecutive_failures = 0
         self.interventions = []
@@ -367,7 +368,7 @@ class PlaySession:
     @classmethod
     def start(cls, cfg: SessionConfig) -> "PlaySession":
         session = cls(cfg)
-        (session.out_dir / LOG_FILE).write_text("")   # fresh log
+        session.log_path.write_text("")   # fresh log
         return session
 
     @classmethod
@@ -504,8 +505,21 @@ class PlaySession:
         randomize_world(self.world)
 
     def _append_log(self, record):
-        with open(self.out_dir / LOG_FILE, "a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        """Append `record` to the log as one JSON line, then account for it.
+
+        The line goes to a descriptor opened with O_APPEND, in one
+        `os.write` unless the OS takes less (the loop writes the rest), and
+        the descriptor is closed at once, so the session holds no open file.
+        The file is created with the mode `open(..., "a")` gives it. As
+        before, the record reaches the OS but is not fsynced: a crash may
+        tear the last line, which `read_session_log` drops."""
+        line = memoryview((json.dumps(record, sort_keys=True) + "\n").encode())
+        fd = os.open(self.log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
         self._account(record)
 
     def _account(self, record):
@@ -538,7 +552,7 @@ class PlaySession:
         """Write the final state and the report files."""
         _write_atomic(self.out_dir / STATE_FILE,
                       json.dumps(self.state_dict(), sort_keys=True))
-        records = read_session_log(self.out_dir / LOG_FILE)
+        records = read_session_log(self.log_path)
         write_report_files(self.out_dir, records, library=self.library)
         return self
 
@@ -606,7 +620,8 @@ def export_success_dataset(session_dir, out_dir) -> dict:
     episodes = {t: [] for t in library.by_task}
     for r in (r for r in records if r["success"]):
         entry = {"iteration": r["iteration"], "source_demo_id": r["selected_demo"]}
-        with _record_of_library(log, r):
+        # a logged target the warp refuses as not finite is reported, not warned about
+        with _record_of_library(log, r), np.errstate(over="ignore", invalid="ignore"):
             plan = warp_trajectory(library.demos[r["selected_demo"]], r["target_waypoints"])
             episodes[r["attempted_task"]].append(entry)
         doc = dict(entry, task_id=r["attempted_task"], actions=plan.trajectory.actions.tolist(),

@@ -37,8 +37,9 @@ from .tasks import BOWL, SHELF, TABLE, SymbolicState, TaskSpec, builtin_tasks
 
 
 class PreconditionUnsatisfiable(ConfigError):
-    """A demo of the requested task cannot be staged, scripted, executed or
-    summarized in the given layout."""
+    """The given layout cannot hold its objects apart in their slots, or a
+    demo of the requested task cannot be staged, scripted, executed or
+    summarized in it."""
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +298,8 @@ def _place_objects(layout: Layout, rng, slots, region_scale) -> dict:
                     placed = np.array([xy[0], xy[1], region.z])
                     break
             if placed is None:
-                raise ConfigError(f"cannot place {spec.id!r} in {slot!r} "
-                                  "without overlap")
+                raise PreconditionUnsatisfiable(f"cannot place {spec.id!r} in {slot!r} "
+                                                "without overlap")
             positions[spec.id] = placed
         elif slot == BOWL:
             container = layout.object_spec(BOWL)
@@ -317,8 +318,8 @@ def spawn_world(layout: Layout, seed, slots=None, params: WorldParams = None,
     """Place every object uniformly at random inside its slot region.
 
     `slots` maps object id to its starting slot (defaults to the table);
-    the bowl is placed before its contents. Raises ConfigError when
-    placements cannot satisfy the separation constraint.
+    the bowl is placed before its contents. Raises PreconditionUnsatisfiable
+    when placements cannot satisfy the separation constraint.
     """
     rng = np.random.default_rng(seed)
     params = params or WorldParams()
@@ -388,8 +389,8 @@ def execute_plan(world: SimWorld, traj: Trajectory) -> ExecutionTrace:
     scene's positions and upright flags.
     """
     P, Q, G = traj.positions, traj.orientations, traj.gripper
-    executed = np.clip(P, np.array(world.layout.workspace_min),
-                       np.array(world.layout.workspace_max))
+    # np.clip, without its overhead
+    executed = np.minimum(np.maximum(P, world.layout.workspace_min), world.layout.workspace_max)
     oob = int(np.count_nonzero((executed != P).any(axis=1)))
     toggles = (np.flatnonzero(G[1:] != G[:-1]) + 1).tolist()
     if G[0] == 1 and not world.gripper_closed:
@@ -423,7 +424,8 @@ def execute_plan(world: SimWorld, traj: Trajectory) -> ExecutionTrace:
 def _close_gripper(world, positions, at, events, step):
     best, best_d = None, float("inf")
     for spec in world.layout.objects:
-        d = float(np.linalg.norm(at - (positions[spec.id] + np.asarray(spec.grasp_offset))))
+        v = at - (positions[spec.id] + np.asarray(spec.grasp_offset))
+        d = math.sqrt(v.dot(v))   # np.linalg.norm(v), bit for bit
         if d < best_d:
             best, best_d = spec.id, d
     if best_d > world.params.grasp_radius:
@@ -507,7 +509,12 @@ class CorrespondenceOracle:
     Box-Muller pair of u1 and u2, sigma sqrt(-2 ln(1 - u1)) times
     (cos, sin)(2 pi u2). The pixel, not the annotation's (anchor, offset),
     keys the draws: demos of one task share their grasp annotation, and
-    keying on it would corrupt all their queries alike.
+    keying on it would corrupt all their queries alike. The digest is
+    computed from a copy of the blake2b state that has already hashed the
+    key's prefix `seed|src|tgt|qv|tv`, kept per prefix, updated with the
+    `|px|py` rest, which gives the digest of the whole key. The kept states
+    are those of queries into one target state and are dropped when a
+    query into another one comes.
 
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
@@ -526,6 +533,8 @@ class CorrespondenceOracle:
         self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
         self._memo = {}          # (view, pixel) -> (anchor|None, offset)
         self._memo_state = None  # the state the memo's matches are into
+        self._prefixes = {}      # (src, qv, tv) -> blake2b state of the key prefix
+        self._prefix_target = None   # the target state of the kept prefixes
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
@@ -550,10 +559,16 @@ class CorrespondenceOracle:
 
     def _query_draws(self, src_id, tgt_id, qv, tv, pixel):
         """The query's three uniforms in [0, 1), from its digest."""
-        key = (f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}"
-               f"|{pixel[0]:.6f}|{pixel[1]:.6f}")
-        words = _WORDS.unpack_from(hashlib.blake2b(key.encode(), digest_size=32).digest())
-        return [(w >> 11) * _ULP53 for w in words]
+        if tgt_id != self._prefix_target:
+            self._prefixes = {}
+            self._prefix_target = tgt_id
+        prefix = self._prefixes.get((src_id, qv, tv))
+        if prefix is None:
+            prefix = self._prefixes[src_id, qv, tv] = hashlib.blake2b(
+                f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}".encode(), digest_size=32)
+        h = prefix.copy()
+        h.update(f"|{pixel[0]:.6f}|{pixel[1]:.6f}".encode())
+        return [(w >> 11) * _ULP53 for w in _WORDS.unpack_from(h.digest())]
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):

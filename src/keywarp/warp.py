@@ -22,6 +22,7 @@ computes only what the target waypoints change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,9 +192,14 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
     source side of every retime bracket) is the demo's `warp_basis`,
     derived once per demo. A call warps all segments in one pass over their
     stacked samples, retimes them one by one, and gathers the plan's
-    actions from the stacked samples in one copy. The result equals, value
-    for value, the per-segment reference `warp_segment` then
-    `retime_segment` in tests/oracle_utils.py.
+    actions from the stacked samples in one copy, which the plan's
+    Trajectory keeps: its rows are unit quaternions and binary gripper bits
+    copied or slerped from the demo's, so only their finiteness is checked.
+    The result equals, value for value, the per-segment reference
+    `warp_segment` then `retime_segment` in tests/oracle_utils.py.
+
+    Raises LengthMismatch for a target count other than the demo's, and
+    ValueError when the targets or the warped arc are not finite.
     """
     w_new = np.asarray(target_waypoints, dtype=float)
     W = demo.waypoints
@@ -210,6 +216,10 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
                        disp[basis.blend[1]].repeat(counts, axis=0))
     warped[basis.pins[0]] = w_new[basis.pins[1]]
     warp_steps = _step_lengths(warped)
+    # every target is pinned to a row, so a target that is not finite, like
+    # an arc beyond the float range (targets near 1e308), makes the sum so
+    if not math.isfinite(warp_steps.sum()):
+        raise ValueError("target waypoints and the warped arc must be finite")
     arc = np.empty(len(warped))
 
     # stacked row of each output sample; a retimed one takes the row starting
@@ -244,7 +254,7 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
         lerp_at = np.concatenate(lerp_at)
         plan[lerp_at, :3], plan[lerp_at, 3:7] = _resample(
             arc, warped, stacked[:, 3:7], np.concatenate(lo), np.concatenate(s_target))
-    return WarpedPlan(trajectory=Trajectory(plan, demo.actions.control_rate),
+    return WarpedPlan(trajectory=Trajectory._adopt(plan, demo.actions.control_rate),
                       segment_boundaries=np.array(boundaries, dtype=int),
                       source_demo_id=demo.id, target_waypoints=w_new.copy())
 

@@ -10,11 +10,20 @@ The per-segment ones are built on the package's own kernels on purpose:
 for the one-pass `keywarp.warp.warp_trajectory`, and `quat_rotate` runs
 `keywarp.geometry._rotate`, the kernel behind `project` and
 `ray_through_pixel`, on whole arrays.
+
+The plain spellings pin fast paths bit for bit: `ray_through_pixel`
+against a `Ray` built through its own checks, `_midpoint` on floats
+against its numpy formula, and the oracle's per-prefix hashing against
+blake2b of the whole documented key.
 """
+
+import hashlib
+import math
+import struct
 
 import numpy as np
 
-from keywarp.geometry import _rotate, look_at_camera
+from keywarp.geometry import PARALLEL_TOL, Ray, _pixel_direction, _rotate, look_at_camera
 from keywarp.warp import (_arc, _displace, _resample, _retime_brackets,
                           _retime_profile, _step_lengths, segment_alphas)
 
@@ -132,3 +141,32 @@ def random_camera(rng, intrinsics_cls, camera_cls):
         eye = rng.uniform(-2.0, 2.0, 3)
     target = rng.uniform(-0.2, 0.2, 3)
     return look_at_camera(eye, target, intr)
+
+
+def ray_through_pixel_reference(camera, pixel):
+    """`keywarp.geometry.ray_through_pixel` through `Ray`'s own checks."""
+    return Ray(origin=camera.position, direction=_pixel_direction(camera, pixel))
+
+
+def midpoint_reference(o1, d1, o2, d2):
+    """`keywarp.geometry._midpoint` on numpy arrays, each dot one numpy dot."""
+    cross = np.cross(d1, d2)
+    if math.sqrt(cross.dot(cross)) < PARALLEL_TOL:
+        return None   # parallel: DegenerateRays
+    w0 = o1 - o2
+    b12, d, e = float(d1.dot(d2)), float(d1.dot(w0)), float(d2.dot(w0))
+    denom = 1.0 - b12 * b12
+    p1 = o1 + (b12 * e - d) / denom * d1
+    p2 = o2 + (e - b12 * d) / denom * d2
+    gap = p1 - p2
+    return 0.5 * (p1 + p2), math.sqrt(gap.dot(gap))
+
+
+def query_draws_reference(seed, src_id, tgt_id, query_view, target_view, pixel):
+    """The three uniforms `CorrespondenceOracle` documents for a query: the
+    top 53 bits of each of the first three 8-byte words of the 32-byte
+    blake2b digest of the whole key text, times 2**-53."""
+    key = (f"{seed}|{src_id}|{tgt_id}|{query_view}|{target_view}"
+           f"|{pixel[0]:.6f}|{pixel[1]:.6f}")
+    digest = hashlib.blake2b(key.encode(), digest_size=32).digest()
+    return [(w >> 11) * 2.0 ** -53 for w in struct.unpack(">3Q", digest[:24])]

@@ -10,7 +10,10 @@ rate, an unknown key, a retired key at another value and a bad orientation
 or workspace, and a checkpoint a world whose objects, or whose gripper's
 attached object or riders, are not its layout's. A layout that `gen-demos`
 cannot stage a demo in (a table too small or behind the cameras) exits 2
-too, and so does any perturbed layout that does not exit 0. A non-finite
+too, and so does any perturbed layout that does not exit 0; a table too
+small for both objects also exits 2 naming the file from `play --config`
+and `warp --layout`. A session log whose success record holds a target the
+warp cannot retime (1e308, NaN) makes `export` exit 4 naming the log. A non-finite
 flag and a negative seed flag exit 2 naming their field."""
 
 import contextlib
@@ -63,6 +66,13 @@ def _layout(w, lib, s):
     return path, ["gen-demos", "--layout", str(path), "--n", "1", "--out", str(w / "o")], ["home"]
 
 
+def _warp_layout(w, lib, s):
+    path = w / "layout.json"
+    path.write_text(json.dumps(layout_to_dict(default_layout())))
+    return path, ["warp", "--demos", str(lib), "--task", "pineapple_table_to_shelf",
+                  "--layout", str(path), "--out", str(w / "o")], ["home"]
+
+
 def _play_on_library(name, keys):
     def setup(w, lib, s):
         copy = w / "lib"
@@ -99,22 +109,25 @@ def _report(w, lib, s):
     return path, ["report", "--log", str(path), "--out", str(w / "o")], [0, "success"]
 
 
-def _export(w, lib, s):
-    copy, _ = _session_copy(w, s)
-    return (copy / "session_state.json",
-            ["export", "--session", str(copy), "--out", str(w / "o")], ["library_digest"])
+def _export(name, keys):
+    def setup(w, lib, s):
+        copy, _ = _session_copy(w, s)
+        return copy / name, ["export", "--session", str(copy), "--out", str(w / "o")], keys
+    return setup
 
 
 FILES = {
     "config": (_config, INPUT),
     "layout": (_layout, INPUT),
+    "warp-layout": (_warp_layout, INPUT),
     "index": (_play_on_library("index.json", ["demos"]), INPUT),
     "summary": (_play_on_library("file", ["rig"]), INPUT),
     "sidecar": (_play_on_library("sidecar", ["final"]), INPUT),
     "checkpoint": (_resume("checkpoint", ["world"]), ARTIFACT),
     "log-resume": (_resume("session_log.jsonl", [0, "success"]), ARTIFACT),
     "log-report": (_report, ARTIFACT),
-    "state": (_export, ARTIFACT),
+    "state": (_export("session_state.json", ["library_digest"]), ARTIFACT),
+    "log-export": (_export("session_log.jsonl", [0, "success"]), ARTIFACT),
 }
 
 
@@ -253,11 +266,32 @@ CASES += [(name, damage) for name in ("config", "layout") for damage in (
     _layout_edit("non_unit_home_orientation",
                  lambda layout: layout.update(home_orientation=[0.0, 0.9, 0.0, 0.0])))]
 # Layouts that parse but cannot stage a demo: `gen-demos` exits 2 naming them.
-CASES += [("layout", _layout_edit("table_too_small", lambda layout: layout["table"].update(
-              x_min=0.40, x_max=0.45, y_min=0.0, y_max=0.05))),
-          ("layout", _layout_edit("table_behind_cameras", lambda layout: (
+# One whose table cannot hold both objects cannot start a session or a
+# one-shot warp either, and `play --config` and `warp --layout` name it too.
+CASES += [(name, _layout_edit("table_too_small", lambda layout: layout["table"].update(
+              x_min=0.40, x_max=0.45, y_min=0.0, y_max=0.05)))
+          for name in ("layout", "config", "warp-layout")]
+CASES += [("layout", _layout_edit("table_behind_cameras", lambda layout: (
               layout["table"].update(y_min=-1.5, y_max=-1.0),
               layout.update(workspace_min=[0.02, -1.6, -0.005]))))]
+
+
+def _success_target(name, value):
+    """Set the first target coordinate of the log's first success record to `value`."""
+    def damage(path, _):
+        lines = path.read_text().splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if json.loads(line)["success"])
+        record = json.loads(lines[n])
+        record["target_waypoints"][0][0] = value
+        lines[n] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+    damage.__name__ = name
+    return damage
+
+
+# A target the warp cannot retime: its arc overflows the float range, or is NaN.
+CASES += [("log-export", _success_target("overflowing_target", 1e308)),
+          ("log-export", _success_target("nan_target", float("nan")))]
 
 
 def _exit_code(argv):

@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -14,7 +15,7 @@ from conftest import NaNReplies
 from keywarp.demo import Trajectory, _Probe, parse_action_rows
 from keywarp.play import (NoPlan, PlaySession, RemoteEvaluator, RemotePlanner,
                           RuleBasedEvaluator, RuleBasedPlanner, SessionConfig,
-                          export_success_dataset, read_session_log,
+                          _new_record, export_success_dataset, read_session_log,
                           resume_session, rule_based_plan, run_session,
                           verify_by_correspondence)
 from keywarp.sim import ConfigError, execute_plan, snapshot, spawn_world, symbolic_state
@@ -62,6 +63,33 @@ def test_iteration_writes_only_its_log_line(library_dir, tmp_path):
     assert after.pop(log) == before.pop(log) + (json.dumps(record, sort_keys=True) + "\n").encode()
     assert after == before
     assert sorted(p.name for p in session.out_dir.iterdir()) == ["checkpoints", "session_log.jsonl"]
+
+
+def test_a_log_written_in_short_writes_holds_the_same_bytes(library_dir, tmp_path,
+                                                           monkeypatch):
+    """`_append_log` finishes a record the OS takes in pieces: with every
+    `os.write` taking at most 7 bytes, a session writes the same log. A log
+    it creates gets the mode `open(..., "a")` gives a new file."""
+    whole = PlaySession.start(session_config(library_dir, tmp_path / "whole")).run()
+    session = PlaySession.start(session_config(library_dir, tmp_path / "short"))
+    real_write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(fd)
+        return real_write(fd, bytes(data[:7]))
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", short_write)
+        session.run()
+    log = whole.log_path.read_bytes()
+    assert session.log_path.read_bytes() == log
+    assert len(calls) == sum(-(-len(line) // 7) for line in log.splitlines(keepends=True))
+
+    session.log_path.unlink()
+    session._append_log(_new_record(31))
+    with open(tmp_path / "appended", "a"):
+        pass
+    assert session.log_path.stat().st_mode == (tmp_path / "appended").stat().st_mode
 
 
 def test_all_infeasible_leaves_bandit_untouched(library_dir, tmp_path):
@@ -418,6 +446,9 @@ def protocol_server():
     _ProtocolHandler.delay, _ProtocolHandler.canned = 0.0, None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_remote_planner_matches_rule_based(protocol_server):

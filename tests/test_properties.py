@@ -7,9 +7,13 @@ loop; warp_trajectory's one-pass warp equals warping and retiming segment
 by segment, and from a demo's kept basis equals the warp of a fresh copy;
 the warp invariants hold: warping is affine in the endpoint displacements,
 target waypoints are pinned exactly, and retiming gives the documented
-step count with pinned endpoints. A scene's state id is the same for
-Python float and np.float64 positions. A summary's encoding equals json's
-indented output for any action values."""
+step count with pinned endpoints, and every plan passes a Trajectory's
+full validation. A scene's state id is the same for Python float and
+np.float64 positions. A summary's encoding equals json's indented output
+for any action values. The fast paths equal their plain spellings in
+oracle_utils bit for bit: `ray_through_pixel` a Ray built through its
+checks, `_midpoint` on floats its numpy formula, and the oracle's draws
+hashed from a kept key prefix those of the whole key."""
 
 import copy
 import dataclasses
@@ -24,15 +28,17 @@ from hypothesis import strategies as st
 from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, decode_summary,
                           encode_summary, summary_to_dict, trajectory_from_parts)
 from keywarp.geometry import (PARALLEL_TOL, CameraIntrinsics, DegenerateRays,
-                              NonPositiveDepth, Ray, StereoRig, intersect_rays,
+                              NonPositiveDepth, Ray, StereoRig, _midpoint, intersect_rays,
                               look_at_camera, point_ray_distance, project,
                               ray_through_pixel, triangulate)
-from keywarp.sim import (SimWorld, WorldParams, _close_gripper, _open_gripper,
-                         default_layout, execute_plan, generate_demo_library,
-                         spawn_world)
+from keywarp.sim import (CorrespondenceOracle, OracleConfig, SimWorld, WorldParams,
+                         _close_gripper, _open_gripper, default_layout, execute_plan,
+                         generate_demo_library, spawn_world)
 from keywarp.tasks import BOWL, builtin_tasks
 from keywarp.warp import warp_trajectory
-from oracle_utils import arc_length, quat_rotate, retime_segment, warp_segment
+from oracle_utils import (arc_length, midpoint_reference, quat_rotate,
+                          query_draws_reference, ray_through_pixel_reference,
+                          retime_segment, warp_segment)
 
 LAYOUT = default_layout()
 INTR = CameraIntrinsics(fx=420.0, fy=400.0, cx=320.0, cy=240.0,
@@ -201,6 +207,32 @@ def test_triangulate_equals_intersect_rays_of_its_pixel_rays(angle, spread, r_le
     point, residual = triangulate(rig, left_pixel, right_pixel)
     assert point.tobytes() == expected[0].tobytes()
     assert residual == expected[1]
+
+
+@given(angles, radii, heights, pixels)
+def test_ray_through_pixel_equals_a_ray_built_through_its_checks(angle, radius, height,
+                                                                 pixel):
+    cam = ring_camera(angle, radius, height, np.array([0.4, 0.1, 0.1]))
+    ray, expected = ray_through_pixel(cam, pixel), ray_through_pixel_reference(cam, pixel)
+    assert type(ray) is Ray
+    assert ray.origin is expected.origin is cam.position
+    assert ray.direction.tobytes() == expected.direction.tobytes()
+    assert ray.direction.dtype == float and ray.direction.shape == (3,)
+    assert not ray.direction.flags.writeable
+
+
+@given(vec3, direction, vec3, direction, st.booleans())
+def test_midpoint_on_floats_equals_its_numpy_formula(o1, d1, o2, d2, parallel):
+    d1 = d1 / np.sqrt(d1.dot(d1))
+    d2 = d1 if parallel else d2 / np.sqrt(d2.dot(d2))
+    expected = midpoint_reference(o1, d1, o2, d2)
+    if expected is None:
+        with pytest.raises(DegenerateRays):
+            _midpoint(o1, d1, o2, d2)
+        return
+    point, gap = _midpoint(o1, d1, o2, d2)
+    assert type(point) is np.ndarray and point.tobytes() == expected[0].tobytes()
+    assert gap == expected[1]
 
 
 @given(vec3, direction, st.floats(-2.0, 2.0), offsets)
@@ -437,6 +469,28 @@ def test_warp_trajectory_pins_every_target_waypoint(demo, scale, seed, collapse,
                           demo.actions.gripper[demo.waypoint_indices])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEMOS), st.sampled_from([0.0, 1e-7, 0.02, 0.3, 3.0]),
+       st.integers(0, 2**31), st.booleans(), st.booleans(), st.booleans())
+def test_every_warped_plan_passes_a_trajectorys_full_validation(demo, scale, seed, collapse,
+                                                                still, head_at_start):
+    """A plan's Trajectory checks only finiteness; the checks it skips (the
+    shape, unit quaternions, binary gripper bits) hold all the same."""
+    demo = held_still(demo, still, head_at_start)
+    plan = warp_trajectory(demo, random_targets(demo, scale, seed, collapse))
+    assert Trajectory(plan.trajectory.actions, plan.trajectory.control_rate) == plan.trajectory
+    assert not plan.trajectory.actions.flags.writeable
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, np.nan, np.inf])
+def test_warp_refuses_targets_whose_arc_is_not_finite(value):
+    demo = DEMOS[0]
+    targets = demo.waypoints.copy()
+    targets[0, 0] = value
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        warp_trajectory(demo, targets)
+
+
 @given(st.lists(vec3, min_size=2, max_size=15).map(np.array),
        st.floats(0.05, 4.0), st.floats(0.0, 0.05), st.integers(0, 2**31))
 def test_retime_segment_step_count_and_pinned_endpoints(source, stretch, jitter, seed):
@@ -453,6 +507,27 @@ def test_retime_segment_step_count_and_pinned_endpoints(source, stretch, jitter,
     assert len(positions) == len(orientations) == max(1, round(scaled_steps)) + 1
     assert np.array_equal(positions[[0, -1]], warped[[0, -1]])
     assert np.array_equal(orientations[[0, -1]], quats[[0, -1]])
+
+
+# ---------------------------------------------------------------------------
+# the oracle's draws
+
+queries = st.lists(st.tuples(st.sampled_from(["s1", "s2", "s3"]), st.sampled_from(["s1", "s2"]),
+                             st.sampled_from(["left", "right"]),
+                             st.sampled_from(["left", "right"]), pixels),
+                   min_size=1, max_size=40)
+
+
+@given(st.integers(0, 2**63), queries)
+def test_query_draws_from_a_kept_prefix_equal_those_of_the_whole_key(seed, queries):
+    """Over any run of queries, repeating prefixes and switching target
+    states; only the prefixes of the current target's queries are kept."""
+    oracle = CorrespondenceOracle(OracleConfig(seed=seed))
+    for query in queries:
+        assert oracle._query_draws(*query) == query_draws_reference(seed, *query)
+        assert oracle._prefix_target == query[1]
+    assert len(oracle._prefixes) <= len({(src, qv, tv) for src, tgt, qv, tv, _ in queries
+                                         if tgt == queries[-1][1]})
 
 
 def repr_state_id(objects, anchors):
