@@ -65,7 +65,6 @@ class MatchOutcome:
 
 
 _OTHER_VIEW = {"left": "right", "right": "left"}
-_FLOAT = np.dtype(float)
 
 
 def match_pixel(matcher: MatcherInterface, source: SceneSnapshot, target: SceneSnapshot,
@@ -76,13 +75,10 @@ def match_pixel(matcher: MatcherInterface, source: SceneSnapshot, target: SceneS
     reply = matcher.match(source, target, query_pixel, query_view, target_view)
     if reply is None:
         return None
-    if type(reply) is np.ndarray and reply.dtype is _FLOAT:   # the oracle's replies
-        pixel = reply
-    else:
-        try:
-            pixel = np.asarray(reply, dtype=float)
-        except (TypeError, ValueError):
-            return None
+    try:
+        pixel = np.asarray(reply, dtype=float)
+    except (TypeError, ValueError):
+        return None
     if pixel.shape != (2,) or not all(map(math.isfinite, pixel.tolist())):
         return None
     return pixel

@@ -509,12 +509,7 @@ class CorrespondenceOracle:
     Box-Muller pair of u1 and u2, sigma sqrt(-2 ln(1 - u1)) times
     (cos, sin)(2 pi u2). The pixel, not the annotation's (anchor, offset),
     keys the draws: demos of one task share their grasp annotation, and
-    keying on it would corrupt all their queries alike. The digest is
-    computed from a copy of the blake2b state that has already hashed the
-    key's prefix `seed|src|tgt|qv|tv`, kept per prefix, updated with the
-    `|px|py` rest, which gives the digest of the whole key. The kept states
-    are those of queries into one target state and are dropped when a
-    query into another one comes.
+    keying on it would corrupt all their queries alike.
 
     Pixels returned by `match` are memoized with the anchor they came from
     so that follow-up cross-view queries on matched pixels resolve too;
@@ -533,8 +528,6 @@ class CorrespondenceOracle:
         self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
         self._memo = {}          # (view, pixel) -> (anchor|None, offset)
         self._memo_state = None  # the state the memo's matches are into
-        self._prefixes = {}      # (src, qv, tv) -> blake2b state of the key prefix
-        self._prefix_target = None   # the target state of the kept prefixes
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
@@ -559,16 +552,10 @@ class CorrespondenceOracle:
 
     def _query_draws(self, src_id, tgt_id, qv, tv, pixel):
         """The query's three uniforms in [0, 1), from its digest."""
-        if tgt_id != self._prefix_target:
-            self._prefixes = {}
-            self._prefix_target = tgt_id
-        prefix = self._prefixes.get((src_id, qv, tv))
-        if prefix is None:
-            prefix = self._prefixes[src_id, qv, tv] = hashlib.blake2b(
-                f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}".encode(), digest_size=32)
-        h = prefix.copy()
-        h.update(f"|{pixel[0]:.6f}|{pixel[1]:.6f}".encode())
-        return [(w >> 11) * _ULP53 for w in _WORDS.unpack_from(h.digest())]
+        key = (f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}"
+               f"|{pixel[0]:.6f}|{pixel[1]:.6f}")
+        words = _WORDS.unpack_from(hashlib.blake2b(key.encode(), digest_size=32).digest())
+        return [(w >> 11) * _ULP53 for w in words]
 
     def match(self, source: SceneSnapshot, target: SceneSnapshot,
               query_pixel, query_view: str, target_view: str):

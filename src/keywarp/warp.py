@@ -11,7 +11,9 @@ Orientations and gripper bits are copied from the source.
 After warping, each segment is retimed so per-step speed matches the
 source: the step count is rescaled by the ratio of warped to source arc
 length and the new samples are placed along the warped polyline following
-the source's normalized time-to-arc profile.
+the source's normalized time-to-arc profile. A segment whose warped arc
+is more than MAX_STRETCH times its source's is refused: it would take that
+many times the source's steps, along a path far outside any workspace.
 
 Half of that depends on the source demo alone: the segments, their alphas,
 the source arcs and the source side of every retime bracket. It is the
@@ -32,6 +34,7 @@ from .geometry import quat_slerp
 
 DEGENERATE_SEGMENT = 1e-6   # m, below this the alpha projection is ill-posed
 DEGENERATE_ARC = 1e-9       # m, below this a segment has no length to retime
+MAX_STRETCH = 100.0         # most times a retimed segment's arc may exceed its source's
 
 
 class LengthMismatch(ValueError):
@@ -102,6 +105,9 @@ def _retime_brackets(profile, s_warp):
     L, s_norm = profile
     steps = s_norm.shape[0] - 1
     L_new = float(s_warp[-1])
+    if L_new > MAX_STRETCH * L:   # no division: L_new / L may overflow
+        raise ValueError(f"a warped segment's arc is more than {MAX_STRETCH:g} "
+                         "times its source's")
     new_steps = max(1, round(L_new / L * steps))
     s_target = np.interp(np.arange(1, new_steps) / new_steps,
                          np.arange(steps + 1) / steps, s_norm) * L_new
@@ -199,7 +205,8 @@ def warp_trajectory(demo: DemoSummary, target_waypoints) -> WarpedPlan:
     `warp_segment` then `retime_segment` in tests/oracle_utils.py.
 
     Raises LengthMismatch for a target count other than the demo's, and
-    ValueError when the targets or the warped arc are not finite.
+    ValueError when the targets or the warped arc are not finite, or when a
+    segment's warped arc is more than MAX_STRETCH times its source's.
     """
     w_new = np.asarray(target_waypoints, dtype=float)
     W = demo.waypoints

@@ -12,9 +12,9 @@ for the one-pass `keywarp.warp.warp_trajectory`, and `quat_rotate` runs
 `ray_through_pixel`, on whole arrays.
 
 The plain spellings pin fast paths bit for bit: `ray_through_pixel`
-against a `Ray` built through its own checks, `_midpoint` on floats
-against its numpy formula, and the oracle's per-prefix hashing against
-blake2b of the whole documented key.
+against a `Ray` built through its own checks and `_midpoint` on floats
+against its numpy formula. `query_draws_reference` spells out the
+oracle's documented draws: blake2b of the whole key text.
 """
 
 import hashlib

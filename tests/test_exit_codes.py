@@ -13,8 +13,8 @@ cannot stage a demo in (a table too small or behind the cameras) exits 2
 too, and so does any perturbed layout that does not exit 0; a table too
 small for both objects also exits 2 naming the file from `play --config`
 and `warp --layout`. A session log whose success record holds a target the
-warp cannot retime (1e308, NaN) makes `export` exit 4 naming the log. A non-finite
-flag and a negative seed flag exit 2 naming their field."""
+warp cannot retime (1e308, NaN, 1e12) makes `export` exit 4 naming the
+log. A non-finite flag and a negative seed flag exit 2 naming their field."""
 
 import contextlib
 import io
@@ -289,9 +289,12 @@ def _success_target(name, value):
     return damage
 
 
-# A target the warp cannot retime: its arc overflows the float range, or is NaN.
+# A target the warp cannot retime: its arc overflows the float range, is NaN,
+# or is finite but stretches a segment beyond MAX_STRETCH (1e12 would ask
+# for about 1e14 samples).
 CASES += [("log-export", _success_target("overflowing_target", 1e308)),
-          ("log-export", _success_target("nan_target", float("nan")))]
+          ("log-export", _success_target("nan_target", float("nan"))),
+          ("log-export", _success_target("huge_target", 1e12))]
 
 
 def _exit_code(argv):
