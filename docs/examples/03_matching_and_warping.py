@@ -26,7 +26,9 @@ obs = snapshot(world)
 print("scene:", {k: np.round(v.position, 3).tolist()
                  for k, v in world.scene.objects.items()})
 
-outcomes = [match_demo(oracle, d, obs, FilterConfig(), library.demo_side_distances[d.id])
+pairs = {}   # the candidates share the pixel pairs they match into `obs`
+outcomes = [match_demo(oracle, d, obs, FilterConfig(), library.demo_side_distances[d.id],
+                       pairs)
             for d in demos]
 print("\nper-demo match outcomes:")
 for o in outcomes:

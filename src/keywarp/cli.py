@@ -88,8 +88,9 @@ def cmd_warp(args) -> int:
     obs = snapshot(world)
     filters = FilterConfig(residual_max=args.residual_max, gap_max=args.gap_max)
 
+    pairs = {}   # the candidates' matched pixel pairs in `obs`
     outcomes = [match_demo(oracle, library.demos[d], obs, filters,
-                           library.demo_side_distances[d])
+                           library.demo_side_distances[d], pairs)
                 for d in library.by_task[args.task]]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

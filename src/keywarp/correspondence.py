@@ -9,6 +9,11 @@ ray at the same distance from the waypoint in the demo and the observation).
 Demos whose every waypoint survives both filters are ranked by the stacked
 Euclidean distance between source and target waypoints; the closest one
 becomes the warp source.
+
+The candidates matched into one observation share a memo of matched pixel
+pairs: demos of one task anchor on the same semantic keypoints, so their
+matches often come out as the same (left, right) pair, which is triangulated
+and cross-checked in the observation once.
 """
 
 from __future__ import annotations
@@ -106,8 +111,21 @@ def demo_cross_view_distances(matcher: MatcherInterface, demo: DemoSummary) -> d
             for view in ("left", "right")}
 
 
+def _match_pair(matcher: MatcherInterface, obs: SceneSnapshot, left, right) -> tuple:
+    """What one matched pixel pair gives in the observation: the triangulated
+    waypoint, its residual and the observation half of the cross-view check
+    per view as (point, residual, d_left, d_right); () for degenerate rays."""
+    try:
+        point, residual = triangulate(obs.rig, left, right)
+    except DegenerateRays:
+        return ()
+    return (point, residual, cross_view_distance(matcher, obs, left, "left", point),
+            cross_view_distance(matcher, obs, right, "right", point))
+
+
 def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
-               cfg: FilterConfig, demo_side_distances: dict) -> MatchOutcome:
+               cfg: FilterConfig, demo_side_distances: dict,
+               pairs: Optional[dict] = None) -> MatchOutcome:
     """Match every demo keypoint into the observation and run both filters.
 
     Failures never raise; they are encoded as an infeasible outcome with
@@ -118,7 +136,16 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
     `demo_side_distances` is the demo half of the cross-view check as
     {view: (T,) distances}. The demo never changes, so a library computes it
     once per demo, with `demo_cross_view_distances`.
+
+    `pairs` is the memo of one observation and one matcher, shared by every
+    candidate matched into that observation (a fresh one when None). It
+    maps each matched (left, right) pixel pair, by its exact float bits, to
+    what `_match_pair` gives, so a pair seen before skips the triangulation
+    and both observation-side cross-view queries. The demo-side distances
+    and both gates still apply per candidate. A memo must not outlive its
+    observation: the matcher's answers into another scene differ.
     """
+    pairs = {} if pairs is None else pairs
     T = demo.num_waypoints
     w_out = np.full((T, 3), np.nan)
     residuals = np.full(T, np.inf)
@@ -132,18 +159,20 @@ def match_demo(matcher: MatcherInterface, demo: DemoSummary, obs: SceneSnapshot,
         if left is None or right is None:
             feasible = False
             continue
-        try:
-            point, residual = triangulate(obs.rig, left, right)
-        except DegenerateRays:
+        key = left.tobytes() + right.tobytes()
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _match_pair(matcher, obs, left, right)
+        if not pair:   # degenerate rays
             feasible = False
             continue
+        point, residual, d_left, d_right = pair
         w_out[t] = point
         residuals[t] = residual
 
         worst_gap = 0.0
-        for view, pixel in (("left", left), ("right", right)):
+        for view, d_obs in (("left", d_left), ("right", d_right)):
             d_demo = float(demo_side_distances[view][t])
-            d_obs = cross_view_distance(matcher, obs, pixel, view, point)
             # a side that is not finite (a failed match) makes the gap infinite;
             # inf - inf would be NaN, which max drops
             gap = (abs(d_demo - d_obs) if math.isfinite(d_demo) and math.isfinite(d_obs)

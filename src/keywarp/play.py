@@ -376,13 +376,18 @@ class PlaySession:
         """The session at checkpoint N, to run to `iterations` when given, with
         its statistics rebuilt from log records 1..N and later records dropped.
         ConfigError, before any write, when `out_dir` is not the session's,
-        `iterations` is out of range, or the library changed; OSError naming
-        the file when the checkpoint is incomplete, or the log lacks one of
-        records 1..N or names a task or demo outside the library."""
+        `iterations` is out of range (negative, or below N), or the library
+        changed; OSError naming the file when the checkpoint is incomplete,
+        or the log lacks one of records 1..N or names a task or demo outside
+        the library."""
         iteration, cfg, world, rng, digest = _read_checkpoint(checkpoint_path)
         if out_dir is not None and Path(out_dir).resolve() != Path(cfg.out_dir).resolve():
             raise ConfigError(f"--out {out_dir} is not the checkpointed session's "
                               f"directory {cfg.out_dir}")
+        if iterations is not None and iterations < iteration:
+            raise ConfigError(f"--iterations {iterations} is below the checkpoint's "
+                              f"iteration {iteration}; a resumed session cannot run "
+                              "fewer iterations than it has")
         cfg = cfg if iterations is None else replace(cfg, iterations=iterations)
         session = cls(cfg, digest)
         session.iteration, session.world, session.rng = iteration, world, rng
@@ -440,9 +445,10 @@ class PlaySession:
 
         candidates = select_top_k(self.arms[task_id], self.cfg.k, self.cfg.c)
         record["candidates"] = candidates
+        pairs = {}   # the candidates' matched pixel pairs in `obs`
         outcomes = [match_demo(self.matcher, self.library.demos[d], obs,
                                self.cfg.filters,
-                               self.library.demo_side_distances[d])
+                               self.library.demo_side_distances[d], pairs)
                     for d in candidates]
         record["matches"] = [_match_summary(o) for o in outcomes]
 

@@ -517,6 +517,13 @@ class CorrespondenceOracle:
     permanent. The memo holds the matches into one state (the current
     observation) and drops them when a match into another state is memoized.
 
+    Beside it, the projections into one scene (one snapshot) are memoized by
+    (target view, anchor, offset) and dropped when a projection into another
+    scene is made: a cross-view query resolves to the anchor and offset of
+    the direct match it follows, and the demos of one task share their
+    grasp anchor, so each projects once. A memoized pixel is handed out
+    read-only; a noisy or outlier reply is a fresh array.
+
     A query resolves only through the annotation at exactly its pixel,
     bit for bit: registered annotations before memoized matches, and the
     first registration of a pixel before later ones. Any other pixel has no
@@ -528,6 +535,8 @@ class CorrespondenceOracle:
         self._annotations = {}   # (state_id, view, pixel) -> (anchor, offset)
         self._memo = {}          # (view, pixel) -> (anchor|None, offset)
         self._memo_state = None  # the state the memo's matches are into
+        self._projections = {}   # (view, anchor, offset) -> read-only pixel|None
+        self._projected_scene = None   # the snapshot they are projections into
 
     def register_annotation(self, state_id, view, pixel, anchor, offset):
         # map(float, ...) keeps the caller's float objects (a loaded
@@ -550,6 +559,28 @@ class CorrespondenceOracle:
             return scene.anchors[anchor]
         return None   # anchor object removed from the scene
 
+    def _projection(self, target: SceneSnapshot, view, anchor, offset):
+        """The anchor plus offset projected into `view` of `target`, as a
+        read-only pixel, or None when the anchor is gone or the point is not
+        in front of the camera; memoized for one scene."""
+        if target is not self._projected_scene:
+            self._projections = {}
+            self._projected_scene = target
+        key = (view, anchor, offset)
+        if key in self._projections:
+            return self._projections[key]
+        anchor_pos = self._anchor_position(target, anchor)
+        pixel = None
+        if anchor_pos is not None:
+            try:
+                pixel = project(target.rig.camera(view),
+                                [a + o for a, o in zip(anchor_pos, offset)])
+                pixel.flags.writeable = False
+            except NonPositiveDepth:
+                pass
+        self._projections[key] = pixel
+        return pixel
+
     def _query_draws(self, src_id, tgt_id, qv, tv, pixel):
         """The query's three uniforms in [0, 1), from its digest."""
         key = (f"{self.config.seed}|{src_id}|{tgt_id}|{qv}|{tv}"
@@ -567,13 +598,8 @@ class CorrespondenceOracle:
         if entry is None or entry[0] is None:
             return None
         anchor, offset = entry
-        anchor_pos = self._anchor_position(target, anchor)
-        if anchor_pos is None:
-            return None
-        camera = target.rig.camera(target_view)
-        try:
-            pixel = project(camera, [a + o for a, o in zip(anchor_pos, offset)])
-        except NonPositiveDepth:
+        pixel = self._projection(target, target_view, anchor, offset)
+        if pixel is None:
             return None
 
         cfg = self.config
@@ -581,7 +607,7 @@ class CorrespondenceOracle:
             u0, u1, u2 = self._query_draws(source.state_id, target.state_id,
                                            query_view, target_view, key)
             if u0 < cfg.outlier_rate:
-                k = camera.intrinsics
+                k = target.rig.camera(target_view).intrinsics
                 junk = np.array([u1 * k.width, u2 * k.height])
                 self._memoize(target.state_id, target_view, junk, None, None)
                 return junk

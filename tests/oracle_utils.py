@@ -15,6 +15,8 @@ The plain spellings pin fast paths bit for bit: `ray_through_pixel`
 against a `Ray` built through its own checks and `_midpoint` on floats
 against its numpy formula. `query_draws_reference` spells out the
 oracle's documented draws: blake2b of the whole key text.
+`UnmemoizedProjections` is the oracle with every projection made afresh,
+the reference for its memo of projections into one scene.
 """
 
 import hashlib
@@ -23,7 +25,9 @@ import struct
 
 import numpy as np
 
-from keywarp.geometry import PARALLEL_TOL, Ray, _pixel_direction, _rotate, look_at_camera
+from keywarp.geometry import (PARALLEL_TOL, NonPositiveDepth, Ray, _pixel_direction, _rotate,
+                              look_at_camera, project)
+from keywarp.sim import CorrespondenceOracle
 from keywarp.warp import (_arc, _displace, _resample, _retime_brackets,
                           _retime_profile, _step_lengths, segment_alphas)
 
@@ -170,3 +174,17 @@ def query_draws_reference(seed, src_id, tgt_id, query_view, target_view, pixel):
            f"|{pixel[0]:.6f}|{pixel[1]:.6f}")
     digest = hashlib.blake2b(key.encode(), digest_size=32).digest()
     return [(w >> 11) * 2.0 ** -53 for w in struct.unpack(">3Q", digest[:24])]
+
+
+class UnmemoizedProjections(CorrespondenceOracle):
+    """The oracle, projecting the anchor plus offset afresh on every query."""
+
+    def _projection(self, target, view, anchor, offset):
+        anchor_pos = self._anchor_position(target, anchor)
+        if anchor_pos is None:
+            return None
+        try:
+            return project(target.rig.camera(view),
+                           [a + o for a, o in zip(anchor_pos, offset)])
+        except NonPositiveDepth:
+            return None

@@ -506,6 +506,19 @@ def test_play_resume_with_negative_iterations_exits_2_and_keeps_the_checkpoint(
     assert len(read_session_log(session / "session_log.jsonl")) == 12
 
 
+def test_play_resume_with_fewer_iterations_than_the_checkpoint_exits_2_and_keeps_the_log(
+        cli_session, tmp_path, capsys):
+    """Running to M < N from checkpoint N would cut the log to N records and
+    write a final state whose config says M while its iteration says N."""
+    session, checkpoint = _session_copy(cli_session, tmp_path)
+    before = _tree_state(session)
+    assert main(["play", "--out", str(session), "--iterations", "5",
+                 "--resume", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert "--iterations 5" in err and "iteration 10" in err
+    assert _tree_state(session) == before
+
+
 def test_play_library_with_a_task_not_built_in_exits_2_naming_it(cli_library, tmp_path,
                                                                  capsys):
     lib = tmp_path / "lib"

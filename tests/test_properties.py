@@ -15,30 +15,37 @@ equals json's indented output for any action values. The fast paths equal
 their plain spellings in oracle_utils bit for bit: `ray_through_pixel` a
 Ray built through its checks, and `_midpoint` on floats its numpy
 formula; the oracle's draws are those of blake2b over the whole
-documented key."""
+documented key. Candidates sharing one observation's pair memo match as
+with a fresh memo and a fresh oracle each, triangulating each distinct pair
+once, and the oracle's projection memo answers as projecting afresh."""
 
 import copy
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_oracle
+from keywarp import correspondence
+from keywarp.correspondence import FilterConfig, match_demo
 from keywarp.demo import (ObjectState, SceneSnapshot, Trajectory, decode_summary,
                           encode_summary, summary_to_dict, trajectory_from_parts)
 from keywarp.geometry import (PARALLEL_TOL, CameraIntrinsics, DegenerateRays,
                               NonPositiveDepth, Ray, StereoRig, _midpoint, intersect_rays,
                               look_at_camera, point_ray_distance, project,
                               ray_through_pixel, triangulate)
+from keywarp.play import PlaySession, SessionConfig, _match_summary
 from keywarp.sim import (CorrespondenceOracle, OracleConfig, SimWorld, WorldParams,
                          _close_gripper, _open_gripper, default_layout, execute_plan,
-                         generate_demo_library, spawn_world)
-from keywarp.tasks import BOWL, builtin_tasks
+                         generate_demo_library, snapshot, spawn_world)
+from keywarp.tasks import BOWL, builtin_tasks, task_map
 from keywarp.warp import MAX_STRETCH, warp_trajectory
-from oracle_utils import (arc_length, midpoint_reference, quat_rotate,
+from oracle_utils import (UnmemoizedProjections, arc_length, midpoint_reference, quat_rotate,
                           query_draws_reference, ray_through_pixel_reference,
                           retime_segment, warp_segment)
 
@@ -528,6 +535,169 @@ query = st.tuples(st.sampled_from(["s1", "s2", "s3"]), st.sampled_from(["s1", "s
 def test_query_draws_are_those_of_the_whole_documented_key(seed, query):
     oracle = CorrespondenceOracle(OracleConfig(seed=seed))
     assert oracle._query_draws(*query) == query_draws_reference(seed, *query)
+
+
+# ---------------------------------------------------------------------------
+# the pair memo and the oracle's projection memo
+
+ORACLE_CONFIGS = [{}, dict(pixel_noise_sigma=2.0, outlier_rate=0.05, seed=3)]
+TASKS = task_map(builtin_tasks())
+
+
+def observation(world_seed, task_id):
+    """A fresh world with the task's object at its source, as `warp` spawns it."""
+    task = TASKS[task_id]
+    return snapshot(spawn_world(LAYOUT, seed=world_seed, slots={task.obj: task.source}))
+
+
+def triangulated_pairs(call):
+    """Run `call()` with triangulation watched; its result and the pixel
+    pairs triangulated, by their bits, in call order."""
+    with mock.patch.object(correspondence, "triangulate",
+                           wraps=correspondence.triangulate) as watched:
+        result = call()
+    return result, [c.args[1].tobytes() + c.args[2].tobytes()
+                    for c in watched.call_args_list]
+
+
+def assert_outcomes_equal(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y, field.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from(sorted(TASKS)),
+       st.lists(st.integers(0, 9), min_size=1, max_size=6), st.sampled_from(ORACLE_CONFIGS))
+def test_candidates_sharing_a_pair_memo_match_as_with_fresh_ones(library, world_seed, task_id,
+                                                                 picks, config):
+    """Candidates in any order, a demo repeated included, matched with one
+    shared memo and oracle give the outcomes each gives with a fresh memo
+    and a fresh oracle, and each distinct pair is triangulated once."""
+    obs = observation(world_seed, task_id)
+    demos = [library.demos[library.by_task[task_id][i]] for i in picks]
+
+    def match(oracle, demo, pairs):
+        return match_demo(oracle, demo, obs, FilterConfig(),
+                          library.demo_side_distances[demo.id], pairs)
+
+    fresh, seen = [], set()
+    for demo in demos:
+        outcome, triangulated = triangulated_pairs(
+            lambda: match(make_oracle(library, **config), demo, {}))
+        fresh.append(outcome)
+        seen.update(triangulated)
+    oracle, pairs = make_oracle(library, **config), {}
+    shared, triangulated = triangulated_pairs(
+        lambda: [match(oracle, demo, pairs) for demo in demos])
+    for a, b in zip(shared, fresh):
+        assert_outcomes_equal(a, b)
+    assert sorted(triangulated) == sorted(seen) == sorted(pairs)
+
+
+class ParallelRays:
+    """Replies to a query into view v with the pixel whose ray leaves v's
+    camera along one world direction, so every matched pair is degenerate."""
+
+    def __init__(self, direction):
+        self.direction = direction
+
+    def match(self, source, target, query_pixel, query_view, target_view):
+        camera = target.rig.camera(target_view)
+        return project(camera, camera.position + self.direction)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(TASKS)), st.lists(st.integers(0, 9), min_size=2, max_size=5))
+def test_a_repeated_degenerate_pair_stays_infeasible_for_every_candidate(library, task_id,
+                                                                         picks):
+    obs = observation(0, task_id)
+    demo_ids = [library.by_task[task_id][i] for i in picks]
+    matcher = ParallelRays(np.subtract(obs.objects["pineapple"].position,
+                                       obs.rig.left.position))
+    pairs = {}
+    outcomes, triangulated = triangulated_pairs(lambda: [
+        match_demo(matcher, library.demos[d], obs, FilterConfig(),
+                   library.demo_side_distances[d], pairs) for d in demo_ids])
+    assert len(triangulated) == 1 and list(pairs.values()) == [()]
+    for outcome in outcomes:
+        assert not outcome.feasible and outcome.score == np.inf
+        assert np.isnan(outcome.target_waypoints).all()
+        assert (outcome.triangulation_residuals == np.inf).all()
+        assert (outcome.cross_view_gaps == np.inf).all()
+
+
+class StateShiftedCrossView:
+    """Replies to a demo-to-scene query with the projection of one point, and
+    to a cross-view query with the projection of that point shifted by an
+    amount the scene's state id sets."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def match(self, source, target, query_pixel, query_view, target_view):
+        point = self.point
+        if source is target:
+            point = point + [int(target.state_id[:6], 16) / 16 ** 6 * 0.05, 0.0, 0.0]
+        return project(target.rig.camera(target_view), point)
+
+
+def test_each_play_iteration_matches_with_a_fresh_pair_memo(library_dir, tmp_path):
+    """Every iteration matches the same pixel pair into a new scene (each
+    failure stalls and re-randomizes the world), and logs the gaps that
+    scene's cross-view replies give, not those of the iteration before."""
+    cfg = SessionConfig(demo_library=str(library_dir), out_dir=str(tmp_path), iterations=3,
+                        gap_max=1e-9, max_consecutive_failures=1)
+    session = PlaySession.start(cfg)
+    demo = session.library.demos[session.library.by_task["pineapple_table_to_shelf"][0]]
+    session.matcher = StateShiftedCrossView(demo.waypoints[0])
+    scenes, logged = [], []
+    while session.iteration < cfg.iterations:
+        obs = session.world.scene
+        record = session.run_iteration()
+        assert record["intervention"] == "stall"
+        expected = [_match_summary(match_demo(
+            session.matcher, session.library.demos[d], obs, cfg.filters,
+            session.library.demo_side_distances[d])) for d in record["candidates"]]
+        assert record["matches"] == expected
+        scenes.append(obs.state_id)
+        logged.append(record["matches"])
+    assert len(set(scenes)) == len(scenes)
+    assert logged[0] != logged[1] != logged[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 59), st.integers(0, 1),
+                          st.sampled_from(["left", "right"]), st.integers(0, 1)),
+                min_size=1, max_size=30),
+       st.sampled_from(ORACLE_CONFIGS + [dict(outlier_rate=0.5, seed=1)]))
+def test_the_projection_memo_answers_as_projecting_afresh(library, seed_a, seed_b, queries,
+                                                          config):
+    """Demo-to-scene queries into two scenes in any order, each followed or
+    not by a cross-view query on the last reply into its scene (which the
+    pixel memo may have dropped), get the replies of an oracle that projects
+    every query afresh."""
+    scenes = [snapshot(spawn_world(LAYOUT, seed=s)) for s in (seed_a, seed_b)]
+    demos = [library.demos[d] for d in sorted(library.demos)]
+    oracle, reference = make_oracle(library, **config), UnmemoizedProjections(
+        OracleConfig(**config))
+    library.register_with(reference)
+    last = {}
+    for cross, i, t, view, s in queries:
+        if cross and s in last:
+            other = "right" if last[s][1] == "left" else "left"
+            query = (scenes[s], scenes[s], last[s][0], last[s][1], other)
+        else:
+            query = (demos[i].snapshot, scenes[s], demos[i].keypoints[view][t], view, view)
+        reply, expected = oracle.match(*query), reference.match(*query)
+        assert (reply is None) == (expected is None)
+        if reply is not None:
+            assert np.array_equal(reply, expected)
+            last[s] = (reply, query[4])
 
 
 def repr_state_id(objects, anchors):

@@ -240,6 +240,27 @@ def test_oracle_memo_keeps_only_the_latest_observation(library, clean_oracle, la
     assert sum(map(len, clean_oracle._annotations.values())) == n_annotations
 
 
+def test_oracle_projection_memo_holds_one_scene_and_hands_out_read_only_pixels(
+        library, clean_oracle, layout):
+    """A repeated clean match into one scene is the memoized pixel itself;
+    a match into another scene drops the memo, so the scene's next match is
+    projected afresh, to the same value."""
+    demo = next(iter(library.demos.values()))
+    a, b = (snapshot(spawn_world(layout, seed=s)) for s in (1, 2))
+
+    def match(scene):
+        return clean_oracle.match(demo.snapshot, scene, demo.keypoints["left"][0],
+                                  "left", "left")
+
+    first = match(a)
+    assert match(a) is first
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    match(b)
+    again = match(a)
+    assert again is not first and np.array_equal(again, first)
+
+
 def test_oracle_deterministic_per_query(library):
     a = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
     b = make_oracle(library, pixel_noise_sigma=2.0, outlier_rate=0.3, seed=5)
